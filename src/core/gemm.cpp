@@ -94,9 +94,9 @@ inline const float* pad_bias_col(const float* bias, int64_t n) {
 // micro-panel (KC*NR floats, 24 KiB) in L1; the 6x32 tile holds twelve
 // 16-lane accumulators, which maps onto AVX-512 (and splits cleanly in half
 // on AVX2) without spilling.
-constexpr int64_t MR = 6;
+constexpr int64_t MR = kGemmMR;
 constexpr int64_t NR = 32;
-constexpr int64_t KC = 192;
+constexpr int64_t KC = kGemmKPanel;
 constexpr int64_t MC = 96;    // multiple of MR
 constexpr int64_t NC = 1024;  // multiple of NR
 
@@ -551,6 +551,23 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const fl
            const Epilogue* epilogue) {
   sgemm_impl(trans_a, trans_b, m, n, k, A, lda, B, ldb, C, ldc, accumulate, epilogue,
              PrepackedViews{});
+}
+
+void apply_epilogue(const Epilogue& ep, float* C, int64_t ldc, int64_t m, int64_t n) {
+#if defined(__GNUC__) || defined(__clang__)
+  const float* bias_padded = pad_bias_col(ep.bias_col, n);
+  static thread_local std::vector<float> buf;
+  buf.resize(static_cast<size_t>((n + 15) / 16 * 16));
+  for (int64_t i = 0; i < m; ++i) {
+    float* row = C + i * ldc;
+    std::memcpy(buf.data(), row, static_cast<size_t>(n) * sizeof(float));
+    apply_epilogue_lanes(ep, bias_padded, buf.data(), i, static_cast<int64_t>(buf.size()));
+    std::memcpy(row, buf.data(), static_cast<size_t>(n) * sizeof(float));
+  }
+#else
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j) C[i * ldc + j] = apply_epilogue(ep, C[i * ldc + j], i, j);
+#endif
 }
 
 int64_t packed_a_floats(int64_t m, int64_t k) { return round_up(m, MR) * k; }

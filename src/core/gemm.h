@@ -36,6 +36,13 @@ struct Epilogue {
   float leaky_slope = 0.01f;        // kLeakyReLU only
 };
 
+/// Depth of one k-panel. Every dispatch path sums an output element's k
+/// terms in ascending order within each kGemmKPanel-deep panel, starting
+/// from zero, and folds panel sums into C as `panel + C`. A kernel that
+/// skips provably-zero terms must keep this panel split to stay bitwise
+/// equal (nn::Conv3d's occupancy-skipping route does).
+inline constexpr int64_t kGemmKPanel = 192;
+
 /// C (m x n, ldc) = op(A) * op(B), overwriting C — or accumulating into C
 /// when `accumulate` is true. When `epilogue` is non-null its bias/activation
 /// are applied to the final C (after accumulation) on the hot micro-tile.
@@ -47,6 +54,28 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            const float* A, int64_t lda, const float* B, int64_t ldb,
            float* C, int64_t ldc, bool accumulate = false,
            const Epilogue* epilogue = nullptr);
+
+/// Rows per micro-panel of a packed A image (pack_a_full).
+inline constexpr int64_t kGemmMR = 6;
+
+/// Column p of a pack_a_full image of an (m x k) op(A): rows
+/// [r0, r0 + kGemmMR) sit contiguously at `first + (r0 / kGemmMR) * stride`
+/// for r0 = 0, kGemmMR, ..., and rows past m read as zero.
+struct PackedAColumn {
+  const float* first;
+  int64_t stride;
+};
+inline PackedAColumn packed_a_column(const float* panels, int64_t m, int64_t k, int64_t p) {
+  const int64_t pc = p / kGemmKPanel * kGemmKPanel;
+  const int64_t kc = k - pc < kGemmKPanel ? k - pc : kGemmKPanel;
+  const int64_t mr_rows = (m + kGemmMR - 1) / kGemmMR * kGemmMR;
+  return {panels + mr_rows * pc + (p - pc) * kGemmMR, kGemmMR * kc};
+}
+
+/// Apply `ep` in place to an (m x n) block of C: the same vector epilogue
+/// the kernels fuse into their write-back, so a caller that produced the
+/// pre-epilogue sums another way finishes them bitwise identically.
+void apply_epilogue(const Epilogue& ep, float* C, int64_t ldc, int64_t m, int64_t n);
 
 /// Unblocked reference implementation with identical semantics.
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

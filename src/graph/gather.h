@@ -29,8 +29,10 @@ class Gather {
   /// Batched graph-level gather over a packed block-diagonal batch
   /// (graph::PackedGraphBatch layout): graph g sums per-node output rows
   /// [node_offset[g], node_offset[g] + sum_counts[g]) into row g of the
-  /// (num_graphs, width) result. Bitwise identical to running forward_sum
-  /// per graph. Inference path — per-graph backward is not supported.
+  /// (num_graphs, width) result; counts are clamped to the graph's nodes.
+  /// Only the summed rows are gated (eval forward_sum takes this path too).
+  /// Bitwise identical to running forward_sum per graph. Inference path —
+  /// per-graph backward is not supported.
   Tensor forward_segments(const Tensor& h, const Tensor& x,
                           const std::vector<int64_t>& node_offset,
                           const std::vector<int64_t>& sum_counts, bool training);
@@ -39,7 +41,13 @@ class Gather {
   int64_t width() const { return width_; }
 
  private:
-  Tensor concat(const Tensor& h, const Tensor& x) const;
+  /// Write rows [first, first + count) of [h, x] to dst, row-major.
+  void concat_rows(const Tensor& h, const Tensor& x, int64_t first, int64_t count,
+                   float* dst) const;
+  /// sigmoid(i(cat)) * j(cat) per row; caches for backward when training.
+  Tensor gate_value(const Tensor& cat, bool training);
+  /// acc[j] += rows[i][j] for i in [first, first + count), in row order.
+  void sum_rows(const Tensor& rows, int64_t first, int64_t count, float* acc) const;
 
   int64_t in_h_, in_x_, width_;
   nn::Dense gate_;   // "i" network -> sigmoid

@@ -33,65 +33,8 @@ AxisRange valid_range(int64_t in_size, int64_t out_size, int64_t stride, int64_t
   return {lo, hi};
 }
 
-// Lower one sample (cin, D, H, W) to cols (cin*k^3, Do*Ho*Wo). Rows touched
-// by padding are zero-filled up front; the interior is copied with
-// contiguous (stride 1) or strided row loops, no per-element bounds checks.
-// `ldcols` strides between rows so several samples can share one wide
-// column matrix ((K, B*N) with sample b at column offset b*N).
-void vol2col(const float* x, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
-             int64_t stride, int64_t pad, int64_t Do, int64_t Ho, int64_t Wo, float* cols,
-             int64_t ldcols) {
-  for (int64_t ci = 0; ci < cin; ++ci) {
-    const float* xc = x + ci * D * H * W;
-    for (int64_t kz = 0; kz < k; ++kz) {
-      const AxisRange rz = valid_range(D, Do, stride, pad, kz);
-      for (int64_t ky = 0; ky < k; ++ky) {
-        const AxisRange ry = valid_range(H, Ho, stride, pad, ky);
-        for (int64_t kx = 0; kx < k; ++kx) {
-          const AxisRange rx = valid_range(W, Wo, stride, pad, kx);
-          float* row = cols + (((ci * k + kz) * k + ky) * k + kx) * ldcols;
-          const int64_t nx = rx.hi - rx.lo;
-          if (nx <= 0) {
-            // Whole row maps into the padding.
-            std::memset(row, 0, static_cast<size_t>(Do * Ho * Wo) * sizeof(float));
-            continue;
-          }
-          // Zero exactly the border gaps instead of pre-clearing the whole
-          // row and rewriting the interior — each element is written once.
-          for (int64_t zo = 0; zo < Do; ++zo) {
-            float* prow = row + zo * Ho * Wo;
-            if (zo < rz.lo || zo >= rz.hi) {
-              std::memset(prow, 0, static_cast<size_t>(Ho * Wo) * sizeof(float));
-              continue;
-            }
-            const int64_t z = zo * stride - pad + kz;
-            for (int64_t yo = 0; yo < Ho; ++yo) {
-              float* dst0 = prow + yo * Wo;
-              if (yo < ry.lo || yo >= ry.hi) {
-                std::memset(dst0, 0, static_cast<size_t>(Wo) * sizeof(float));
-                continue;
-              }
-              const int64_t y = yo * stride - pad + ky;
-              if (rx.lo > 0) std::memset(dst0, 0, static_cast<size_t>(rx.lo) * sizeof(float));
-              if (rx.hi < Wo)
-                std::memset(dst0 + rx.hi, 0, static_cast<size_t>(Wo - rx.hi) * sizeof(float));
-              const float* src = xc + (z * H + y) * W + (rx.lo * stride - pad + kx);
-              float* dst = dst0 + rx.lo;
-              if (stride == 1) {
-                std::memcpy(dst, src, static_cast<size_t>(nx) * sizeof(float));
-              } else {
-                for (int64_t j = 0; j < nx; ++j) dst[j] = src[j * stride];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // Scatter-add cols-shaped gradients back into one sample's input gradient.
-// Mirrors vol2col's interior ranges; border columns map into padding and
+// Mirrors the lowering's interior ranges; border columns map into padding and
 // are dropped.
 void col2vol(const float* cols, int64_t cin, int64_t D, int64_t H, int64_t W, int64_t k,
              int64_t stride, int64_t pad, int64_t Do, int64_t Ho, int64_t Wo, float* gx) {
@@ -126,6 +69,194 @@ void col2vol(const float* cols, int64_t cin, int64_t D, int64_t H, int64_t W, in
   }
 }
 
+// Geometry of one sample for the occupancy-skipping route.
+struct SkipShape {
+  int64_t cin, D, H, W, k, pad, Do, Ho, Wo;
+};
+
+// Occupancy-skipping Conv3d forward for one sample: out (COUT, Do*Ho*Wo)
+// from x (cin, D, H, W) and the layer's prepacked GEMM panels, which give
+// each kernel offset's COUT weights as a few contiguous micro-panel rows.
+// Only nonzero inputs are visited, and every output's terms are summed in
+// the dense GEMM's order: ascending p = (ci, kz, ky, kx) from zero within
+// each core::kGemmKPanel-deep panel, panel sums folded as `panel + C`, then
+// core::apply_epilogue. A skipped term is weight * 0, which adds a signed
+// zero and leaves any nonzero sum unchanged — so the result is bitwise the
+// dense route's wherever the weights are finite (the caller's contract) and
+// no partial sum is a -0 left by an FMA underflow.
+//
+// Input z feeds output zo = (z + pad - kz) / S exactly when
+// (z + pad) % S == kz % S, and then zo = q - a with q = (z + pad) / S and
+// a = kz / S. Nonzeros are bucketed by that parity class once per channel,
+// so each kernel offset walks only the inputs that feed it. The accumulator
+// grid extends every axis down by (k - 1) / S and up to the largest q (or
+// the last output), so q - a always lands inside it: the hot loop has no
+// bounds checks, and the terms that land outside [0, Do) are computed and
+// dropped.
+template <int S, int COUT>
+void conv_skip_zeros(const SkipShape& g, const float* x, const float* panels, float* out,
+                     const core::Epilogue& ep) {
+  struct Entry {
+    int32_t e;  // extended-grid index of the output for kernel offset 0
+    float v;
+  };
+  constexpr int kClasses = S * S * S;
+  constexpr int kPanelRows = (COUT + core::kGemmMR - 1) / core::kGemmMR * core::kGemmMR;
+  const int64_t k = g.k, k3 = k * k * k, K = g.cin * k3, A = (k - 1) / S;
+  // Each axis must also hold every valid output: with pad >= k some
+  // outputs lie past the largest q and see only padding.
+  const int64_t Ez = std::max((g.D - 1 + g.pad) / S, g.Do - 1) + A + 1;
+  const int64_t Ey = std::max((g.H - 1 + g.pad) / S, g.Ho - 1) + A + 1;
+  const int64_t Ex = std::max((g.W - 1 + g.pad) / S, g.Wo - 1) + A + 1;
+  const int64_t chan = g.D * g.H * g.W;
+  static thread_local std::vector<Entry> bucket[kClasses];
+  static thread_local std::vector<float> acc_buf, sum_buf;
+  // Cache-line aligned, so no accumulator vector straddles two lines.
+  const size_t grid = static_cast<size_t>(Ez * Ey * Ex * COUT);
+  acc_buf.resize(grid + 16);
+  sum_buf.resize(grid + 16);
+  auto align64 = [](std::vector<float>& v) {
+    const uintptr_t p = reinterpret_cast<uintptr_t>(v.data());
+    return v.data() + ((64 - p % 64) % 64) / sizeof(float);
+  };
+  float* const acc = align64(acc_buf);
+  float* const sum = align64(sum_buf);
+  // Only the valid outputs are zeroed, folded and read: a row of Wo
+  // outputs is contiguous in the extended grid.
+  const int64_t row_len = g.Wo * COUT;
+  auto valid_row = [&](int64_t zo, int64_t yo) {
+    return (((zo + A) * Ey + yo + A) * Ex + A) * COUT;
+  };
+  auto zero_acc = [&] {
+    for (int64_t zo = 0; zo < g.Do; ++zo)
+      for (int64_t yo = 0; yo < g.Ho; ++yo)
+        std::memset(acc + valid_row(zo, yo), 0, static_cast<size_t>(row_len) * sizeof(float));
+  };
+  bool first_panel = true;
+  auto fold = [&] {
+    // One GEMM k-panel is complete: C = panel (first) or panel + C.
+    for (int64_t zo = 0; zo < g.Do; ++zo)
+      for (int64_t yo = 0; yo < g.Ho; ++yo) {
+        const float* ap = acc + valid_row(zo, yo);
+        float* sp = sum + valid_row(zo, yo);
+        if (first_panel) {
+          std::memcpy(sp, ap, static_cast<size_t>(row_len) * sizeof(float));
+        } else {
+          for (int64_t i = 0; i < row_len; ++i) sp[i] = ap[i] + sp[i];
+        }
+      }
+    first_panel = false;
+    zero_acc();
+  };
+  zero_acc();
+
+  // Channel positions grouped by parity class, with each position's
+  // extended-grid output index: a function of the geometry only, so it is
+  // rebuilt only when this instantiation sees a new one.
+  struct Layout {
+    int64_t D = -1, H = -1, W = -1, k = -1, pad = -1;
+    std::vector<int32_t> pos, e;
+    int64_t start[kClasses + 1] = {};
+  };
+  static thread_local Layout lay;
+  if (lay.D != g.D || lay.H != g.H || lay.W != g.W || lay.k != k || lay.pad != g.pad) {
+    lay.D = g.D, lay.H = g.H, lay.W = g.W, lay.k = k, lay.pad = g.pad;
+    lay.pos.clear();
+    lay.e.clear();
+    for (int c = 0; c < kClasses; ++c) {
+      lay.start[c] = static_cast<int64_t>(lay.pos.size());
+      for (int64_t z = 0; z < g.D; ++z)
+        for (int64_t y = 0; y < g.H; ++y)
+          for (int64_t xx = 0; xx < g.W; ++xx) {
+            const int64_t qz = z + g.pad, qy = y + g.pad, qx = xx + g.pad;
+            if (((qz % S) * S + qy % S) * S + qx % S != c) continue;
+            lay.pos.push_back(static_cast<int32_t>((z * g.H + y) * g.W + xx));
+            lay.e.push_back(
+                static_cast<int32_t>(((qz / S + A) * Ey + qy / S + A) * Ex + qx / S + A));
+          }
+    }
+    lay.start[kClasses] = static_cast<int64_t>(lay.pos.size());
+  }
+  for (int c = 0; c < kClasses; ++c)
+    bucket[c].resize(static_cast<size_t>(lay.start[c + 1] - lay.start[c]));
+
+  int64_t count[kClasses];
+  for (int64_t ci = 0; ci < g.cin; ++ci) {
+    // Bucket the channel's nonzeros. Branch-free: every input is written,
+    // and only a nonzero advances its bucket.
+    const float* xc = x + ci * chan;
+    for (int c = 0; c < kClasses; ++c) {
+      Entry* dst = bucket[c].data();
+      int64_t n = 0;
+      for (int64_t i = lay.start[c]; i < lay.start[c + 1]; ++i) {
+        const float v = xc[lay.pos[static_cast<size_t>(i)]];
+        dst[n] = {lay.e[static_cast<size_t>(i)], v};
+        n += v != 0.0f ? 1 : 0;
+      }
+      count[c] = n;
+    }
+    for (int64_t kz = 0; kz < k; ++kz) {
+      for (int64_t ky = 0; ky < k; ++ky) {
+        for (int64_t kx = 0; kx < k; ++kx) {
+          const int64_t p = ci * k3 + (kz * k + ky) * k + kx;
+          if (p > 0 && p % core::kGemmKPanel == 0) fold();
+          const int64_t c = ((kz % S) * S + ky % S) * S + kx % S;
+          if (count[c] == 0) continue;
+          float w[kPanelRows];
+          const core::PackedAColumn col = core::packed_a_column(panels, COUT, K, p);
+          for (int r0 = 0; r0 < kPanelRows; r0 += core::kGemmMR)
+            std::memcpy(w + r0, col.first + (r0 / core::kGemmMR) * col.stride,
+                        core::kGemmMR * sizeof(float));
+          const int64_t delta = ((kz / S) * Ey + ky / S) * Ex + kx / S;
+          const Entry* en = bucket[c].data();
+          for (int64_t i = 0; i < count[c]; ++i) {
+            float* a = acc + (en[i].e - delta) * COUT;
+            const float v = en[i].v;
+            for (int j = 0; j < COUT; ++j) a[j] += v * w[j];
+          }
+        }
+      }
+    }
+  }
+  fold();
+
+  const int64_t N = g.Do * g.Ho * g.Wo;
+  for (int64_t zo = 0; zo < g.Do; ++zo)
+    for (int64_t yo = 0; yo < g.Ho; ++yo)
+      for (int64_t xo = 0; xo < g.Wo; ++xo) {
+        const float* sv = sum + valid_row(zo, yo) + xo * COUT;
+        const int64_t j = (zo * g.Ho + yo) * g.Wo + xo;
+        for (int c = 0; c < COUT; ++c) out[c * N + j] = sv[c];
+      }
+  core::apply_epilogue(ep, out, N, COUT, N);
+}
+
+using SkipFn = void (*)(const SkipShape&, const float*, const float*, float*,
+                        const core::Epilogue&);
+
+// The instantiated (stride, cout) pairs; any other layer stays dense.
+template <int S>
+SkipFn skip_kernel_for(int64_t cout) {
+  switch (cout) {
+    case 16: return conv_skip_zeros<S, 16>;
+    case 32: return conv_skip_zeros<S, 32>;
+    case 64: return conv_skip_zeros<S, 64>;
+    default: return nullptr;
+  }
+}
+
+SkipFn skip_kernel(int64_t stride, int64_t cout) {
+  if (stride == 1) return skip_kernel_for<1>(cout);
+  if (stride == 2) return skip_kernel_for<2>(cout);
+  return nullptr;
+}
+
+int64_t count_nonzero(const float* x, int64_t n) {
+  int64_t nnz = 0;
+  for (int64_t i = 0; i < n; ++i) nnz += x[i] != 0.0f ? 1 : 0;
+  return nnz;
+}
+
 }  // namespace
 
 Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::Rng& rng,
@@ -147,19 +278,21 @@ void Conv3d::build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho,
   plan_.strided.clear();
   plan_.zeros.clear();
   const int64_t N = Do * Ho * Wo;
-  auto zero = [&](int64_t dst, int64_t len) {
-    if (!plan_.zeros.empty() && plan_.zeros.back().dst + plan_.zeros.back().len == dst) {
-      plan_.zeros.back().len += len;
+  auto zero = [&](int64_t row, int64_t col, int64_t len) {
+    ColsPlan::ZeroSpan* last = plan_.zeros.empty() ? nullptr : &plan_.zeros.back();
+    if (last != nullptr && last->row == row && last->col + last->len == col) {
+      last->len += len;
     } else {
-      plan_.zeros.push_back({dst, len});
+      plan_.zeros.push_back({row, col, len});
     }
   };
-  auto copy = [&](int64_t dst, int64_t src, int64_t len) {
-    if (!plan_.copies.empty() && plan_.copies.back().dst + plan_.copies.back().len == dst &&
-        plan_.copies.back().src + plan_.copies.back().len == src) {
-      plan_.copies.back().len += len;
+  auto copy = [&](int64_t row, int64_t col, int64_t src, int64_t len) {
+    ColsPlan::Span* last = plan_.copies.empty() ? nullptr : &plan_.copies.back();
+    if (last != nullptr && last->row == row && last->col + last->len == col &&
+        last->src + last->len == src) {
+      last->len += len;
     } else {
-      plan_.copies.push_back({dst, src, len});
+      plan_.copies.push_back({row, col, src, len});
     }
   };
   for (int64_t kz = 0; kz < k_; ++kz) {
@@ -168,37 +301,83 @@ void Conv3d::build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho,
       const AxisRange ry = valid_range(H, Ho, stride_, pad_, ky);
       for (int64_t kx = 0; kx < k_; ++kx) {
         const AxisRange rx = valid_range(W, Wo, stride_, pad_, kx);
-        const int64_t row = ((kz * k_ + ky) * k_ + kx) * N;
+        const int64_t row = (kz * k_ + ky) * k_ + kx;
         const int64_t nx = rx.hi - rx.lo;
         if (nx <= 0) {
-          zero(row, N);
+          zero(row, 0, N);
           continue;
         }
         for (int64_t zo = 0; zo < Do; ++zo) {
-          const int64_t prow = row + zo * Ho * Wo;
+          const int64_t pcol = zo * Ho * Wo;
           if (zo < rz.lo || zo >= rz.hi) {
-            zero(prow, Ho * Wo);
+            zero(row, pcol, Ho * Wo);
             continue;
           }
           const int64_t z = zo * stride_ - pad_ + kz;
           for (int64_t yo = 0; yo < Ho; ++yo) {
-            const int64_t dst0 = prow + yo * Wo;
+            const int64_t col0 = pcol + yo * Wo;
             if (yo < ry.lo || yo >= ry.hi) {
-              zero(dst0, Wo);
+              zero(row, col0, Wo);
               continue;
             }
             const int64_t y = yo * stride_ - pad_ + ky;
-            if (rx.lo > 0) zero(dst0, rx.lo);
+            if (rx.lo > 0) zero(row, col0, rx.lo);
             const int64_t src = (z * H + y) * W + (rx.lo * stride_ - pad_ + kx);
             if (stride_ == 1) {
-              copy(dst0 + rx.lo, src, nx);
+              copy(row, col0 + rx.lo, src, nx);
             } else {
-              plan_.strided.push_back({dst0 + rx.lo, src, nx});
+              plan_.strided.push_back({row, col0 + rx.lo, src, nx});
             }
-            if (rx.hi < Wo) zero(dst0 + rx.hi, Wo - rx.hi);
+            if (rx.hi < Wo) zero(row, col0 + rx.hi, Wo - rx.hi);
           }
         }
       }
+    }
+  }
+}
+
+void Conv3d::lower(const float* x, float* cols, int64_t ldcols) const {
+  const ColsPlan& plan = plan_;
+  const int64_t chan_in = plan.D * plan.H * plan.W;
+  const int64_t chan_cols = k_ * k_ * k_ * ldcols;
+  for (int64_t ci = 0; ci < cin_; ++ci) {
+    const float* xs = x + ci * chan_in;
+    float* cd = cols + ci * chan_cols;
+    for (const ColsPlan::ZeroSpan& zs : plan.zeros)
+      std::memset(cd + zs.row * ldcols + zs.col, 0, static_cast<size_t>(zs.len) * sizeof(float));
+    for (const ColsPlan::Span& cs : plan.copies)
+      std::memcpy(cd + cs.row * ldcols + cs.col, xs + cs.src,
+                  static_cast<size_t>(cs.len) * sizeof(float));
+#if defined(DF_SIMD_MATH_VECTOR)
+    if (stride_ == 2) {
+      // Stride-2 gather = even lanes of one contiguous load (the trailing
+      // over-read lands in the allocation slack every tensor reserves).
+      typedef float v8f __attribute__((vector_size(32), aligned(4)));
+      for (const ColsPlan::StridedSpan& ss : plan.strided) {
+        float* dst = cd + ss.row * ldcols + ss.col;
+        const float* src = xs + ss.src;
+        core::simd::vf16 v;
+        std::memcpy(&v, src, sizeof(v));
+        const v8f even = __builtin_shufflevector(v, v, 0, 2, 4, 6, 8, 10, 12, 14);
+        if (ss.n > 8 && ss.n <= 16) {
+          core::simd::vf16 v2;
+          std::memcpy(&v2, src + 16, sizeof(v2));
+          const v8f even2 = __builtin_shufflevector(v2, v2, 0, 2, 4, 6, 8, 10, 12, 14);
+          std::memcpy(dst, &even, sizeof(even));
+          std::memcpy(dst + 8, &even2, static_cast<size_t>(ss.n - 8) * sizeof(float));
+        } else if (ss.n <= 8) {
+          std::memcpy(dst, &even, static_cast<size_t>(ss.n) * sizeof(float));
+        } else {
+          for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * 2];
+        }
+      }
+      continue;
+    }
+#endif
+    for (const ColsPlan::StridedSpan& ss : plan.strided) {
+      float* dst = cd + ss.row * ldcols + ss.col;
+      const float* src = xs + ss.src;
+      for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * stride_];
     }
   }
 }
@@ -230,63 +409,58 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   ep.bias_row = b_.value.data();
   ep.leaky_slope = leaky_slope;
 
-  // One plan replay + one gemm per sample; samples fan out over the compute
-  // pool (sgemm detects it runs on a worker and stays serial inside, and
-  // workers only read the shared plan). The per-sample column matrix stays
-  // cache-resident across samples — lowering the whole batch into one wide
-  // (K, B*N) GEMM was measured 2.6x slower here because the column matrix
-  // then streams through DRAM.
   if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
-  const ColsPlan& plan = plan_;
-  const int64_t chan_in = D * H * W;
-  const int64_t chan_cols = k_ * k_ * k_ * N;
-  core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t bi) {
-    const int64_t b = static_cast<int64_t>(bi);
-    static thread_local std::vector<float> cols;
-    cols.resize(static_cast<size_t>(K * N));
-    for (int64_t ci = 0; ci < cin_; ++ci) {
-      const float* xs = in + b * cin_ * chan_in + ci * chan_in;
-      float* cd = cols.data() + ci * chan_cols;
-      for (const ColsPlan::ZeroSpan& zs : plan.zeros)
-        std::memset(cd + zs.dst, 0, static_cast<size_t>(zs.len) * sizeof(float));
-      for (const ColsPlan::Span& cs : plan.copies)
-        std::memcpy(cd + cs.dst, xs + cs.src, static_cast<size_t>(cs.len) * sizeof(float));
-#if defined(DF_SIMD_MATH_VECTOR)
-      if (stride_ == 2) {
-        // Stride-2 gather = even lanes of one contiguous load (the trailing
-        // over-read lands in the allocation slack every tensor reserves).
-        typedef float v8f __attribute__((vector_size(32), aligned(4)));
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          core::simd::vf16 v;
-          std::memcpy(&v, xs + ss.src, sizeof(v));
-          const v8f even = __builtin_shufflevector(v, v, 0, 2, 4, 6, 8, 10, 12, 14);
-          if (ss.n > 8 && ss.n <= 16) {
-            core::simd::vf16 v2;
-            std::memcpy(&v2, xs + ss.src + 16, sizeof(v2));
-            const v8f even2 = __builtin_shufflevector(v2, v2, 0, 2, 4, 6, 8, 10, 12, 14);
-            std::memcpy(cd + ss.dst, &even, sizeof(even));
-            std::memcpy(cd + ss.dst + 8, &even2,
-                        static_cast<size_t>(ss.n - 8) * sizeof(float));
-          } else if (ss.n <= 8) {
-            std::memcpy(cd + ss.dst, &even, static_cast<size_t>(ss.n) * sizeof(float));
-          } else {
-            float* dst = cd + ss.dst;
-            const float* src = xs + ss.src;
-            for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * 2];
-          }
-        }
-      } else
-#endif
-      {
-        for (const ColsPlan::StridedSpan& ss : plan.strided) {
-          float* dst = cd + ss.dst;
-          const float* src = xs + ss.src;
-          for (int64_t j = 0; j < ss.n; ++j) dst[j] = src[j * stride_];
-        }
+  const bool quantized = !training_ && quant_ != nullptr;
+  const SkipFn skip = !training_ && !quantized && skip_enabled() && route_ != EvalRoute::kDense
+                          ? skip_kernel(stride_, cout_)
+                          : nullptr;
+  const SkipShape shape{cin_, D, H, W, k_, pad_, Do, Ho, Wo};
+  const int64_t sample_in = cin_ * D * H * W;
+  const int64_t max_nnz =
+      route_ == EvalRoute::kSkip
+          ? sample_in
+          : static_cast<int64_t>(kSkipMaxDensity * static_cast<float>(sample_in));
+  // Groups of g samples share one column matrix and one GEMM, so the small
+  // late layers run one wide GEMM instead of B narrow ones (2³ outputs give
+  // a GEMM only 8 columns wide per sample). g stays 1 where one sample's
+  // column matrix already fills the budget: lowering a whole batch of
+  // first-conv samples on a full voxel grid was measured 2.6x slower,
+  // because the wide matrix then streams through DRAM. The int8 route keeps
+  // per-sample quantization. Groups fan out over the compute pool (sgemm
+  // detects it runs on a worker and stays serial inside; workers only read
+  // the plan).
+  int64_t g = std::clamp<int64_t>(kLowerBudgetFloats / std::max<int64_t>(1, K * N), 1, B);
+  if (lower_group_ > 0) g = std::min(lower_group_, B);
+  if (quantized) g = 1;
+  const int64_t groups = (B + g - 1) / g;
+  core::parallel_for_auto(static_cast<size_t>(groups), 2, [&](size_t gi) {
+    static thread_local std::vector<int64_t> lowered;
+    static thread_local std::vector<float> cols, cbuf;
+    lowered.clear();
+    const int64_t b0 = static_cast<int64_t>(gi) * g;
+    for (int64_t b = b0; b < std::min(B, b0 + g); ++b) {
+      const float* xs = in + b * sample_in;
+      if (skip != nullptr && count_nonzero(xs, sample_in) <= max_nnz) {
+        skip(shape, xs, pa_.panels, o + b * cout_ * N, ep);
+      } else {
+        lowered.push_back(b);
       }
     }
-    float* ob = o + b * cout_ * N;
-    if (!training_ && quant_ != nullptr) {
+    const int64_t nl = static_cast<int64_t>(lowered.size());
+    if (nl == 0) return;
+    const int64_t ld = nl * N;
+    cols.resize(static_cast<size_t>(K * ld));
+    for (int64_t t = 0; t < nl; ++t) {
+      lower(in + lowered[static_cast<size_t>(t)] * sample_in, cols.data() + t * N, ld);
+    }
+    // One sample writes straight into the output; a group's (cout, nl*N)
+    // result is split back into per-sample blocks afterwards.
+    float* c = o + lowered[0] * cout_ * N;
+    if (nl > 1) {
+      cbuf.resize(static_cast<size_t>(cout_ * ld));
+      c = cbuf.data();
+    }
+    if (quantized) {
       // Int8 path: quantize this sample's column matrix to packed s8 panels
       // (the GEMM's B operand) against the prequantized u8 weight image.
       // The compensation vector depends on the quantized columns, so it is
@@ -294,9 +468,9 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       const QuantizedConv& q = *quant_;
       static thread_local std::vector<int8_t> colsq;
       static thread_local std::vector<int32_t> comp;
-      colsq.resize(static_cast<size_t>(core::packed_b_bytes_s8(K, N)));
-      comp.resize(static_cast<size_t>(N));
-      core::pack_quantize_b_s8(K, N, cols.data(), N, /*inv_scale_col=*/nullptr,
+      colsq.resize(static_cast<size_t>(core::packed_b_bytes_s8(K, ld)));
+      comp.resize(static_cast<size_t>(ld));
+      core::pack_quantize_b_s8(K, ld, cols.data(), ld, /*inv_scale_col=*/nullptr,
                                1.0f / q.act_scale, colsq.data(), comp.data());
       core::QuantEpilogue qep;
       qep.act = act;
@@ -305,28 +479,43 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
       qep.bias_row = b_.value.data();
       qep.comp_col = comp.data();
       const int64_t k4 = (K + 3) & ~int64_t{3};
-      core::gemm_u8s8f32(cout_, N, K, q.wu8, k4, colsq.data(), ob, N, qep);
+      core::gemm_u8s8f32(cout_, ld, K, q.wu8, k4, colsq.data(), c, ld, qep);
     } else if (!training_ && pa_.panels != nullptr) {
-      core::sgemm_prepacked(pa_, N, cols.data(), N, ob, N, /*accumulate=*/false, &ep);
+      core::sgemm_prepacked(pa_, ld, cols.data(), ld, c, ld, /*accumulate=*/false, &ep);
     } else {
-      core::sgemm(false, false, cout_, N, K, w, K, cols.data(), N, ob, N, /*accumulate=*/false,
+      core::sgemm(false, false, cout_, ld, K, w, K, cols.data(), ld, c, ld, /*accumulate=*/false,
                   &ep);
+    }
+    if (nl > 1) {
+      for (int64_t t = 0; t < nl; ++t) {
+        float* ob = o + lowered[static_cast<size_t>(t)] * cout_ * N;
+        for (int64_t co = 0; co < cout_; ++co)
+          std::memcpy(ob + co * N, c + co * ld + t * N, static_cast<size_t>(N) * sizeof(float));
+      }
     }
   });
   return out;
 }
 
+bool Conv3d::skip_supported() const { return skip_kernel(stride_, cout_) != nullptr; }
+
 void Conv3d::prepack() {
   const int64_t K = cin_ * k_ * k_ * k_;
   packed_own_.resize(static_cast<size_t>(core::packed_a_floats(cout_, K)));
   core::pack_a_full(false, cout_, K, w_.value.data(), K, packed_own_.data());
-  pa_ = {cout_, K, packed_own_.data(), w_.value.data()};
+  attach_prepacked(packed_own_.data());
 }
 
 void Conv3d::attach_prepacked(const float* panels) {
   const int64_t K = cin_ * k_ * k_ * k_;
-  packed_own_.clear();
+  if (panels != packed_own_.data()) packed_own_.clear();
   pa_ = {cout_, K, panels, w_.value.data()};
+  // inf * 0 is NaN on the dense route, so skipping a zero input is exact
+  // only while every weight is finite.
+  const float* w = w_.value.data();
+  skip_ok_ = skip_supported() && std::all_of(w, w + K * cout_, [](float v) {
+               return std::isfinite(v);
+             });
 }
 
 void Conv3d::attach_quantized(QuantizedConv q) {
@@ -368,6 +557,7 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
 
   // Serial over samples: grad_w/grad_b accumulate across the batch, and the
   // per-sample gemms already use the pool when one is installed.
+  if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
   std::vector<float> cols(static_cast<size_t>(K * N));
   std::vector<float> cols_grad(static_cast<size_t>(K * N));
   for (int64_t b = 0; b < B; ++b) {
@@ -378,8 +568,7 @@ Tensor Conv3d::backward(const Tensor& grad_out) {
       for (int64_t j = 0; j < N; ++j) acc += row[j];
       gb[co] += acc;
     }
-    vol2col(in + b * cin_ * D * H * W, cin_, D, H, W, k_, stride_, pad_, Do, Ho, Wo, cols.data(),
-            N);
+    lower(in + b * cin_ * D * H * W, cols.data(), N);
     // dW (cout,K) += gOut (cout,N) x cols^T (N,K)
     core::sgemm(false, true, cout_, K, N, gbatch, N, cols.data(), N, gw, K, /*accumulate=*/true);
     // dCols (K,N) = W^T (K,cout) x gOut (cout,N), scattered back to dInput.
@@ -508,8 +697,14 @@ Tensor MaxPool3d::forward(const Tensor& x) {
   in_shape_ = x.shape();
   const int64_t B = x.dim(0), C = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
   const int64_t Do = (D - k_) / stride_ + 1, Ho = (H - k_) / stride_ + 1, Wo = (W - k_) / stride_ + 1;
-  Tensor out({B, C, Do, Ho, Wo});
-  argmax_.assign(static_cast<size_t>(out.numel()), 0);
+  Tensor out = Tensor::uninit({B, C, Do, Ho, Wo});
+  // Only backward reads the argmax, so eval forwards do not record it.
+  if (training_) {
+    argmax_.resize(static_cast<size_t>(out.numel()));
+  } else {
+    argmax_.clear();
+  }
+  int64_t* argmax = training_ ? argmax_.data() : nullptr;
 
   const float* in = x.data();
   float* o = out.data();
@@ -536,13 +731,16 @@ Tensor MaxPool3d::forward(const Tensor& x) {
                 }
               }
           o[oi] = best;
-          argmax_[static_cast<size_t>(oi)] = besti;
+          if (argmax != nullptr) argmax[oi] = besti;
         }
   });
   return out;
 }
 
 Tensor MaxPool3d::backward(const Tensor& grad_out) {
+  if (static_cast<int64_t>(argmax_.size()) != grad_out.numel()) {
+    throw std::runtime_error("MaxPool3d::backward without a matching training forward");
+  }
   Tensor grad_in(in_shape_);
   for (int64_t i = 0; i < grad_out.numel(); ++i)
     grad_in[argmax_[static_cast<size_t>(i)]] += grad_out[i];

@@ -1,9 +1,11 @@
 // 3-D convolution and max-pooling over voxelized protein–ligand complexes.
 // Input layout is (batch, channels, depth, height, width), matching the
-// voxelizer's output. Conv3d lowers each sample to a (cin*k³, Do*Ho*Wo)
-// column matrix (vol2col) whose padded border is zero-filled up front and
-// whose interior is copied with branch-free row loops, then runs a single
-// blocked sgemm per sample; backward reverses the lowering (col2vol).
+// voxelizer's output. Conv3d lowers samples to (cin*k³, Do*Ho*Wo) column
+// matrices (vol2col) whose padded border is zero-filled up front and whose
+// interior is copied with branch-free row loops, then runs one blocked
+// sgemm per group of samples; backward reverses the lowering (col2vol).
+// Eval forwards of a compiled layer can instead skip the zero inputs of a
+// mostly-empty sample (the occupancy-skipping route), bitwise equal.
 // The original direct 7-loop implementation is retained below as the
 // equivalence reference for tests and the speedup benchmark.
 #pragma once
@@ -68,8 +70,46 @@ class Conv3d : public Module {
   /// Route eval forwards through an external image of
   /// core::packed_a_floats(cout, cin*k^3) floats. Caller keeps it alive.
   void attach_prepacked(const float* panels);
-  void clear_prepacked() { pa_ = {}; packed_own_.clear(); }
+  void clear_prepacked() {
+    pa_ = {};
+    packed_own_.clear();
+    skip_ok_ = false;
+  }
   bool prepacked() const { return pa_.panels != nullptr; }
+
+  // -- eval routes (fp32) ------------------------------------------------
+  // Samples are lowered side by side, g at a time, into one (K, g*N) column
+  // matrix and one GEMM: g = kLowerBudgetFloats / (K*N), clamped to
+  // [1, batch]. Layers with a big column matrix (a first conv on a full
+  // voxel grid) keep g = 1 so it stays cache-resident; small late layers
+  // batch many samples. A prepacked layer with an occupancy-skipping
+  // kernel and finite weights sends each eval sample whose input density
+  // is at most kSkipMaxDensity down the skip route instead; it reads its
+  // weights from the same prepacked panels. Every route gives the same
+  // bits (conv3d.cpp states the one -0 caveat).
+
+  // 512 KiB: no group matrix outgrows the per-sample first-conv matrix of
+  // the 8³ voxel grid, so grouping keeps no more memory resident.
+  static constexpr int64_t kLowerBudgetFloats = int64_t{1} << 17;
+  // Skip/dense time crossover in input density, measured on the first two
+  // convs of a 24³ grid; on the 8³ grid skip wins at every density.
+  static constexpr float kSkipMaxDensity = 0.6f;
+  enum class EvalRoute : uint8_t { kAuto, kDense, kSkip };
+
+  /// True when an occupancy-skipping kernel exists for this geometry
+  /// (stride 1 or 2, 16/32/64 output channels).
+  bool skip_supported() const;
+  /// True when eval forwards may take the skip route: prepacked, a kernel
+  /// for the geometry, and every weight finite (inf * 0 is NaN on the dense
+  /// route, so a skipped zero would change the result).
+  bool skip_enabled() const { return skip_ok_; }
+  /// Pin the route (kSkip takes effect only when skip_enabled())
+  /// and the lowering group size (0 = from kLowerBudgetFloats). For
+  /// equivalence tests and tuning; serving keeps the defaults.
+  void set_eval_route(EvalRoute route, int64_t lower_group = 0) {
+    route_ = route;
+    lower_group_ = lower_group;
+  }
 
   // -- int8 quantized execution (src/quant/) ------------------------------
   // Eval forwards quantize each sample's column matrix to int8 panels and
@@ -98,26 +138,30 @@ class Conv3d : public Module {
  private:
   // Replayable vol2col plan for one input channel: the (source, column)
   // copy/zero spans depend only on geometry, so they are computed once per
-  // input shape, merged into maximal contiguous runs, and replayed for
-  // every (sample, channel) with plain offsets — the nested loops and range
-  // clipping run once instead of per call. Replica state (the layer is
-  // single-threaded per replica; pool workers only read it).
+  // input shape, merged into maximal contiguous runs within a column-matrix
+  // row, and replayed for every (sample, channel) with plain offsets — the
+  // nested loops and range clipping run once instead of per call. Spans
+  // address (row, col) so one plan serves any leading dimension (one sample
+  // or a group side by side). Replica state (the layer is single-threaded
+  // per replica; pool workers only read it).
   struct ColsPlan {
     int64_t D = -1, H = -1, W = -1;            // geometry the plan was built for
     struct Span {
-      int64_t dst, src, len;                   // contiguous copy (stride 1)
+      int64_t row, col, src, len;              // contiguous copy (stride 1)
     };
     struct StridedSpan {
-      int64_t dst, src, n;                     // n elements, src stride = stride_
+      int64_t row, col, src, n;                // n elements, src stride = stride_
     };
     struct ZeroSpan {
-      int64_t dst, len;
+      int64_t row, col, len;
     };
     std::vector<Span> copies;
     std::vector<StridedSpan> strided;
     std::vector<ZeroSpan> zeros;
   };
   void build_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo);
+  /// Replay the plan for one sample into `cols` (row stride `ldcols`).
+  void lower(const float* x, float* cols, int64_t ldcols) const;
 
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
@@ -126,6 +170,9 @@ class Conv3d : public Module {
   ColsPlan plan_;
   std::vector<float> packed_own_;
   core::PrepackedA pa_;
+  bool skip_ok_ = false;  // see skip_enabled()
+  EvalRoute route_ = EvalRoute::kAuto;
+  int64_t lower_group_ = 0;
   std::unique_ptr<QuantizedConv> quant_;
   ActivationObserver* observer_ = nullptr;
 };

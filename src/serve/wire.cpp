@@ -14,6 +14,15 @@ constexpr uint32_t kMaxAtoms = 1u << 22;
 constexpr uint32_t kMaxPoses = 1u << 22;
 constexpr uint32_t kMaxStrings = 1u << 16;
 
+// Smallest encoding of one element of each counted list, so a decoder can
+// reject a count the remaining bytes cannot hold before it allocates.
+constexpr size_t kAtomBytes = 16;        // element u8, xyz f32, charge, aromatic, implicit H
+constexpr size_t kBondBytes = 9;         // a i32, b i32, order i8
+constexpr size_t kPocketMinBytes = 4;    // atom count
+constexpr size_t kPoseMinBytes = 24;     // atom + bond counts, pocket u32, centre xyz
+constexpr size_t kStringMinBytes = 4;    // length prefix
+constexpr size_t kScoreBytes = 4;
+
 class Writer {
  public:
   template <typename T>
@@ -58,11 +67,19 @@ class Reader {
     pos_ += n;
     return s;
   }
-  uint32_t count(uint32_t max, const char* what) {
+  /// An element count, bounded by `max` and by the bytes left: each
+  /// element takes at least `min_bytes`, so a count the payload cannot hold
+  /// fails here, before anything is allocated for it.
+  uint32_t count(uint32_t max, size_t min_bytes, const char* what) {
     const uint32_t n = pod<uint32_t>();
     if (n > max) {
       throw WireDecodeError("wire: " + std::string(what) + " count " + std::to_string(n) +
                             " out of range");
+    }
+    const size_t left = bytes_.size() - pos_;
+    if (static_cast<uint64_t>(n) * min_bytes > left) {
+      throw WireDecodeError("wire: " + std::string(what) + " count " + std::to_string(n) +
+                            " exceeds the " + std::to_string(left) + " bytes left");
     }
     return n;
   }
@@ -92,7 +109,7 @@ void put_atoms(Writer& w, const std::vector<chem::Atom>& atoms) {
 }
 
 std::vector<chem::Atom> get_atoms(Reader& r) {
-  const uint32_t n = r.count(kMaxAtoms, "atom");
+  const uint32_t n = r.count(kMaxAtoms, kAtomBytes, "atom");
   std::vector<chem::Atom> atoms(n);
   for (chem::Atom& a : atoms) {
     const uint8_t e = r.pod<uint8_t>();
@@ -127,7 +144,7 @@ chem::Molecule get_molecule(Reader& r) {
     const int32_t i = m.add_atom(a.element, a.pos, a.formal_charge, a.aromatic);
     m.atoms()[static_cast<size_t>(i)].implicit_h = a.implicit_h;
   }
-  const uint32_t nb = r.count(kMaxAtoms, "bond");
+  const uint32_t nb = r.count(kMaxAtoms, kBondBytes, "bond");
   for (uint32_t i = 0; i < nb; ++i) {
     const int32_t a = r.pod<int32_t>();
     const int32_t b = r.pod<int32_t>();
@@ -236,7 +253,7 @@ HelloPayload HelloPayload::decode(std::string_view bytes) {
   p.ordered_stream = r.pod<uint8_t>() != 0;
   p.poses_per_batch = r.pod<uint32_t>();
   p.workers = r.pod<uint32_t>();
-  const uint32_t n = r.count(kMaxStrings, "scorer");
+  const uint32_t n = r.count(kMaxStrings, kStringMinBytes, "scorer");
   p.scorers.reserve(n);
   for (uint32_t i = 0; i < n; ++i) p.scorers.push_back(r.str());
   r.done();
@@ -269,10 +286,10 @@ ScoreRequestPayload ScoreRequestPayload::decode(std::string_view bytes) {
   p.deadline_ms = r.pod<uint32_t>();
   p.scorer = r.str();
   p.client = r.str();
-  const uint32_t np = r.count(kMaxPoses, "pocket");
+  const uint32_t np = r.count(kMaxPoses, kPocketMinBytes, "pocket");
   p.pockets.reserve(np);
   for (uint32_t i = 0; i < np; ++i) p.pockets.push_back(get_atoms(r));
-  const uint32_t n = r.count(kMaxPoses, "pose");
+  const uint32_t n = r.count(kMaxPoses, kPoseMinBytes, "pose");
   p.poses.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Pose pose;
@@ -303,7 +320,7 @@ ScoreChunkPayload ScoreChunkPayload::decode(std::string_view bytes) {
   ScoreChunkPayload p;
   p.request_id = r.pod<uint64_t>();
   p.offset = r.pod<uint64_t>();
-  const uint32_t n = r.count(kMaxPoses, "score");
+  const uint32_t n = r.count(kMaxPoses, kScoreBytes, "score");
   p.scores.resize(n);
   for (uint32_t i = 0; i < n; ++i) p.scores[i] = r.pod<float>();
   r.done();

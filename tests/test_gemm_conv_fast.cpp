@@ -1,11 +1,15 @@
 // Equivalence pins for the blocked inference engine: sgemm vs the naive
 // reference (all transpose variants, odd shapes, 1-8 threads), vol2col
-// Conv3d forward/backward vs the direct 7-loop reference, parallel
-// voxelizer/maxpool vs serial, batched predict vs per-pose predict, and
-// ThreadPool exception propagation.
+// Conv3d forward/backward vs the direct 7-loop reference, the Conv3d eval
+// routes (occupancy-skipping and grouped lowering) memcmp-equal to the
+// per-sample dense route, the ligand-only graph gather memcmp-equal to
+// gating every node, parallel voxelizer/maxpool vs serial, batched predict
+// vs per-pose predict, and ThreadPool exception propagation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "core/tensor.h"
 #include "core/threadpool.h"
 #include "data/target.h"
+#include "graph/gather.h"
 #include "models/fusion.h"
 #include "nn/conv3d.h"
 
@@ -164,6 +169,232 @@ TEST(Conv3dFast, MatchesNaiveOnEveryPoolSize) {
     check_conv_case({4, 3, 6, 7, 7, 7, 3, 1, 1}, rng);
     check_conv_case({2, 4, 4, 8, 6, 9, 5, 2, 2}, rng);
   }
+}
+
+// ---- Conv3d eval routes: occupancy-skipping and grouped lowering ----
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Input with `density` of its entries nonzero (uniform in [-1, 1]).
+Tensor sparse_input(const std::vector<int64_t>& shape, float density, Rng& rng) {
+  Tensor x(shape);
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    if (rng.uniform(0.0f, 1.0f) < density) x[i] = rng.uniform(-1.0f, 1.0f);
+  }
+  return x;
+}
+
+Tensor eval_route(nn::Conv3d& conv, const Tensor& x, nn::Conv3d::EvalRoute route,
+                  core::EpilogueAct act, int64_t group = 0) {
+  conv.set_eval_route(route, group);
+  return conv.forward_act(x, act);
+}
+
+TEST(Conv3dSkip, MatchesDenseRouteBitwise) {
+  Rng rng(71);
+  const core::EpilogueAct acts[] = {core::EpilogueAct::kNone, core::EpilogueAct::kReLU,
+                                    core::EpilogueAct::kSigmoid};
+  int cases = 0;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t pad : {0, 1, 2}) {
+      for (int64_t k : {3, 5}) {
+        // K = cin * k^3 on both sides of the GEMM's 192-deep k-panel.
+        const int64_t cins[2] = {k == 3 ? 7 : 1, k == 3 ? 8 : 2};
+        for (int64_t cin : cins) {
+          for (int64_t cout : {16, 32, 64}) {
+            nn::Conv3d conv(cin, cout, k, rng, stride, pad);
+            conv.set_training(false);
+            conv.prepack();
+            ASSERT_TRUE(conv.skip_enabled());
+            for (float density : {0.0f, 0.02f, 0.17f, 1.0f}) {
+              const Tensor x = sparse_input({3, cin, 6, 5, 7}, density, rng);
+              for (core::EpilogueAct act : acts) {
+                const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense, act, 1);
+                const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip, act);
+                ASSERT_TRUE(same_bits(dense, skip))
+                    << "s=" << stride << " p=" << pad << " k=" << k << " cin=" << cin
+                    << " cout=" << cout << " density=" << density
+                    << " act=" << static_cast<int>(act);
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 864);
+}
+
+TEST(Conv3dSkip, AutoRouteMatchesDenseOnMixedDensities) {
+  // Per-sample routing: one batch mixes samples either side of the
+  // crossover, so both routes (and a grouped dense GEMM) share the output.
+  Rng rng(72);
+  nn::Conv3d conv(4, 32, 3, rng, 1, 1);
+  conv.set_training(false);
+  conv.prepack();
+  Tensor x({5, 4, 6, 6, 6});
+  const float densities[] = {0.05f, 1.0f, 0.3f, 0.9f, 0.0f};
+  const int64_t per = x.numel() / 5;
+  for (int64_t b = 0; b < 5; ++b) {
+    const Tensor s = sparse_input({1, 4, 6, 6, 6}, densities[b], rng);
+    std::memcpy(x.data() + b * per, s.data(), static_cast<size_t>(per) * sizeof(float));
+  }
+  const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                  core::EpilogueAct::kReLU, 1);
+  const Tensor mixed = eval_route(conv, x, nn::Conv3d::EvalRoute::kAuto,
+                                  core::EpilogueAct::kReLU);
+  EXPECT_TRUE(same_bits(dense, mixed));
+}
+
+TEST(Conv3dSkip, PaddingWiderThanKernelMatchesDense) {
+  // pad >= k: the border outputs see only padding (bias + act of zero).
+  Rng rng(77);
+  for (int64_t stride : {1, 2}) {
+    nn::Conv3d conv(3, 16, 3, rng, stride, 4);
+    conv.set_training(false);
+    conv.prepack();
+    const Tensor x = sparse_input({2, 3, 5, 4, 6}, 0.3f, rng);
+    const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                    core::EpilogueAct::kSigmoid, 1);
+    const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip,
+                                   core::EpilogueAct::kSigmoid);
+    EXPECT_TRUE(same_bits(dense, skip)) << "stride " << stride;
+  }
+}
+
+TEST(Conv3dSkip, NanInputGivesSameNanPositions) {
+  Rng rng(73);
+  for (int64_t stride : {1, 2}) {
+    nn::Conv3d conv(3, 16, 3, rng, stride, 1);
+    conv.set_training(false);
+    conv.prepack();
+    Tensor x = sparse_input({2, 3, 7, 7, 7}, 0.1f, rng);
+    x[17] = std::numeric_limits<float>::quiet_NaN();
+    x[x.numel() - 5] = std::numeric_limits<float>::quiet_NaN();
+    x[200] = std::numeric_limits<float>::infinity();
+    const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                    core::EpilogueAct::kNone, 1);
+    const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip,
+                                   core::EpilogueAct::kNone);
+    int nans = 0;
+    for (int64_t i = 0; i < dense.numel(); ++i) {
+      ASSERT_EQ(std::isnan(dense[i]), std::isnan(skip[i])) << "stride " << stride << " at " << i;
+      if (std::isnan(dense[i])) {
+        ++nans;
+      } else {
+        ASSERT_EQ(std::memcmp(dense.data() + i, skip.data() + i, sizeof(float)), 0) << i;
+      }
+    }
+    EXPECT_GT(nans, 0);
+  }
+}
+
+TEST(Conv3dSkip, NonFiniteWeightForcesDenseRoute) {
+  Rng rng(74);
+  nn::Conv3d conv(2, 32, 3, rng, 1, 1);
+  conv.set_training(false);
+  conv.prepack();
+  EXPECT_TRUE(conv.skip_enabled());
+  // inf * 0 is NaN on the dense route, so skipping zeros would change the
+  // result: a non-finite weight disables the skip route, and a forced skip
+  // runs dense.
+  conv.weight().value[5] = std::numeric_limits<float>::infinity();
+  conv.prepack();
+  EXPECT_FALSE(conv.skip_enabled());
+  const Tensor x = sparse_input({2, 2, 5, 5, 5}, 0.1f, rng);
+  const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                  core::EpilogueAct::kNone, 1);
+  const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip, core::EpilogueAct::kNone);
+  EXPECT_TRUE(same_bits(dense, skip));
+  // External panels (a restored artifact) are checked the same way.
+  std::vector<float> panels(static_cast<size_t>(core::packed_a_floats(32, 2 * 27)));
+  conv.weight().value[5] = std::numeric_limits<float>::quiet_NaN();
+  conv.attach_prepacked(panels.data());
+  EXPECT_FALSE(conv.skip_enabled());
+  // Unsupported geometry (24 output channels) never skips.
+  nn::Conv3d odd(2, 24, 3, rng, 1, 1);
+  odd.prepack();
+  EXPECT_FALSE(odd.skip_supported());
+  EXPECT_FALSE(odd.skip_enabled());
+}
+
+TEST(Conv3dGroup, GroupedLoweringMatchesPerSampleBitwise) {
+  Rng rng(75);
+  const int64_t B = 9;  // odd, so the last group is short for g = 2 and 7
+  for (bool prepacked : {false, true}) {
+    for (int64_t stride : {1, 2}) {
+      nn::Conv3d conv(5, 12, 3, rng, stride, 1);
+      conv.set_training(false);
+      if (prepacked) conv.prepack();
+      const Tensor x = Tensor::randn({B, 5, 6, 7, 5}, rng);
+      const Tensor ref = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                    core::EpilogueAct::kReLU, 1);
+      for (int64_t g : {int64_t{1}, int64_t{2}, int64_t{7}, B}) {
+        const Tensor grouped = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
+                                          core::EpilogueAct::kReLU, g);
+        EXPECT_TRUE(same_bits(ref, grouped)) << "g=" << g << " prepacked=" << prepacked
+                                             << " stride=" << stride;
+      }
+    }
+  }
+  // Training forwards take the same grouped lowering.
+  nn::Conv3d conv(3, 8, 3, rng, 1, 1);
+  const Tensor x = Tensor::randn({B, 3, 5, 5, 5}, rng);
+  conv.set_eval_route(nn::Conv3d::EvalRoute::kDense, 1);
+  const Tensor ref = conv.forward(x);
+  conv.set_eval_route(nn::Conv3d::EvalRoute::kDense, B);
+  EXPECT_TRUE(same_bits(ref, conv.forward(x)));
+}
+
+// ---- graph gather: ligand rows only ----
+
+TEST(GatherLigandOnly, MatchesGatingEveryNode) {
+  Rng rng(76);
+  const int64_t in_h = 24, in_x = 19, width = 128;
+  graph::Gather gather(in_h, in_x, width, rng);
+  // Four graphs: a normal one, one with 0 ligand nodes, one whose ligand
+  // count is past its node count (clamped), and one all-ligand graph.
+  const std::vector<int64_t> offset = {0, 11, 18, 24, 31};
+  const std::vector<int64_t> counts = {4, 0, 50, 7};
+  const Tensor h = Tensor::randn({31, in_h}, rng);
+  const Tensor x = Tensor::randn({31, in_x}, rng);
+
+  // Reference: gate every node, then sum each graph's leading rows.
+  const Tensor per_node = gather.forward_nodes(h, x, /*training=*/false);
+  Tensor ref({4, width});
+  for (size_t g = 0; g < counts.size(); ++g) {
+    const int64_t n = std::min(counts[g], offset[g + 1] - offset[g]);
+    for (int64_t i = offset[g]; i < offset[g] + n; ++i)
+      for (int64_t j = 0; j < width; ++j)
+        ref[static_cast<int64_t>(g) * width + j] += per_node[i * width + j];
+  }
+  const Tensor seg = gather.forward_segments(h, x, offset, counts, /*training=*/false);
+  EXPECT_TRUE(same_bits(ref, seg));
+  for (int64_t j = 0; j < width; ++j) EXPECT_EQ(seg[width + j], 0.0f);  // 0 ligand nodes
+
+  // Per-pose eval forward_sum equals its batched row and the training sum.
+  for (size_t g = 0; g < counts.size(); ++g) {
+    const int64_t rows = offset[g + 1] - offset[g];
+    Tensor hg({rows, in_h}), xg({rows, in_x});
+    std::memcpy(hg.data(), h.data() + offset[g] * in_h,
+                static_cast<size_t>(rows * in_h) * sizeof(float));
+    std::memcpy(xg.data(), x.data() + offset[g] * in_x,
+                static_cast<size_t>(rows * in_x) * sizeof(float));
+    const Tensor eval = gather.forward_sum(hg, xg, counts[g], /*training=*/false);
+    const Tensor train = gather.forward_sum(hg, xg, counts[g], /*training=*/true);
+    EXPECT_TRUE(same_bits(eval, train)) << "graph " << g;
+    EXPECT_EQ(std::memcmp(eval.data(), seg.data() + static_cast<int64_t>(g) * width,
+                          static_cast<size_t>(width) * sizeof(float)),
+              0)
+        << "graph " << g;
+  }
+  // No ligand rows anywhere: a zero result, no GEMM on an empty matrix.
+  const Tensor none = gather.forward_segments(h, x, offset, {0, 0, 0, 0}, false);
+  for (int64_t i = 0; i < none.numel(); ++i) EXPECT_EQ(none[i], 0.0f);
 }
 
 // ---- parallel voxelizer / maxpool vs serial ----

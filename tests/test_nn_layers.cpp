@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
 #include "core/rng.h"
 #include "nn/activations.h"
 #include "nn/conv3d.h"
@@ -118,6 +121,42 @@ TEST(MaxPool3d, BackwardRoutesToArgmax) {
   Tensor gx = pool.backward(g);
   EXPECT_FLOAT_EQ(gx[7], 5.0f);
   EXPECT_FLOAT_EQ(gx.sum(), 5.0f);
+}
+
+TEST(MaxPool3d, EvalOutputMatchesTrainingAndSkipsArgmax) {
+  Rng rng(4);
+  Tensor x = Tensor::randn({3, 4, 6, 6, 6}, rng);
+  MaxPool3d train_pool(2, 2), eval_pool(2, 2);
+  const Tensor y_train = train_pool.forward(x);
+  eval_pool.set_training(false);
+  const Tensor y_eval = eval_pool.forward(x);
+  ASSERT_EQ(y_train.shape(), y_eval.shape());
+  EXPECT_EQ(std::memcmp(y_train.data(), y_eval.data(),
+                        static_cast<size_t>(y_train.numel()) * sizeof(float)),
+            0);
+  // Backward after the training forward routes each gradient to its
+  // window's maximum, exactly as before.
+  Tensor g = Tensor::randn(y_train.shape(), rng);
+  const Tensor gx = train_pool.backward(g);
+  Tensor ref(x.shape());
+  int64_t oi = 0;
+  for (int64_t bc = 0; bc < 12; ++bc)
+    for (int64_t zo = 0; zo < 3; ++zo)
+      for (int64_t yo = 0; yo < 3; ++yo)
+        for (int64_t xo = 0; xo < 3; ++xo, ++oi) {
+          int64_t best = -1;
+          for (int64_t kz = 0; kz < 2; ++kz)
+            for (int64_t ky = 0; ky < 2; ++ky)
+              for (int64_t kx = 0; kx < 2; ++kx) {
+                const int64_t i = bc * 216 + ((2 * zo + kz) * 6 + 2 * yo + ky) * 6 + 2 * xo + kx;
+                if (best < 0 || x[i] > x[best]) best = i;
+              }
+          ref[best] += g[oi];
+        }
+  EXPECT_EQ(std::memcmp(gx.data(), ref.data(), static_cast<size_t>(gx.numel()) * sizeof(float)),
+            0);
+  // An eval forward records no argmax, so backward after it is an error.
+  EXPECT_THROW(eval_pool.backward(g), std::runtime_error);
 }
 
 TEST(Flatten, RoundTrip) {

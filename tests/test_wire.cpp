@@ -326,3 +326,29 @@ TEST(WirePayload, MalformedPayloadsThrowTyped) {
   done_bytes[8] = 0x50;  // error byte follows the u64 request id
   EXPECT_THROW(wire::ScoreDonePayload::decode(done_bytes), wire::WireDecodeError);
 }
+
+TEST(WirePayload, CountBeyondRemainingBytesFailsBeforeAllocating) {
+  // A 28-byte ScoreRequest that claims 2^22 pocket atoms: u64 id, u32
+  // deadline, two empty strings, one pocket, then the atom count. The count
+  // is within the 2^22 cap, but 2^22 atoms cannot fit in the 0 bytes left,
+  // so decode must fail on the count, not after building the atoms.
+  std::string bytes(28, '\0');
+  const uint32_t pockets = 1, atoms = 1u << 22;
+  std::memcpy(bytes.data() + 20, &pockets, 4);
+  std::memcpy(bytes.data() + 24, &atoms, 4);
+  try {
+    wire::ScoreRequestPayload::decode(bytes);
+    FAIL() << "decode accepted a count the payload cannot hold";
+  } catch (const wire::WireDecodeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("count"), std::string::npos) << what;
+    EXPECT_EQ(what.find("underflow"), std::string::npos) << what;
+  }
+  // The same bound holds for every counted list: bonds, poses and scores.
+  wire::ScoreChunkPayload chunk;
+  chunk.scores = {1.0f, 2.0f};
+  std::string chunk_bytes = chunk.encode();
+  const uint32_t lie = 3;
+  std::memcpy(chunk_bytes.data() + 16, &lie, 4);
+  EXPECT_THROW(wire::ScoreChunkPayload::decode(chunk_bytes), wire::WireDecodeError);
+}
