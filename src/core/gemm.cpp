@@ -94,9 +94,9 @@ inline const float* pad_bias_col(const float* bias, int64_t n) {
 // micro-panel (KC*NR floats, 24 KiB) in L1; the 6x32 tile holds twelve
 // 16-lane accumulators, which maps onto AVX-512 (and splits cleanly in half
 // on AVX2) without spilling.
-constexpr int64_t MR = kGemmMR;
+constexpr int64_t MR = 6;
 constexpr int64_t NR = 32;
-constexpr int64_t KC = kGemmKPanel;
+constexpr int64_t KC = 192;
 constexpr int64_t MC = 96;    // multiple of MR
 constexpr int64_t NC = 1024;  // multiple of NR
 
@@ -553,23 +553,6 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const fl
              PrepackedViews{});
 }
 
-void apply_epilogue(const Epilogue& ep, float* C, int64_t ldc, int64_t m, int64_t n) {
-#if defined(__GNUC__) || defined(__clang__)
-  const float* bias_padded = pad_bias_col(ep.bias_col, n);
-  static thread_local std::vector<float> buf;
-  buf.resize(static_cast<size_t>((n + 15) / 16 * 16));
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = C + i * ldc;
-    std::memcpy(buf.data(), row, static_cast<size_t>(n) * sizeof(float));
-    apply_epilogue_lanes(ep, bias_padded, buf.data(), i, static_cast<int64_t>(buf.size()));
-    std::memcpy(row, buf.data(), static_cast<size_t>(n) * sizeof(float));
-  }
-#else
-  for (int64_t i = 0; i < m; ++i)
-    for (int64_t j = 0; j < n; ++j) C[i * ldc + j] = apply_epilogue(ep, C[i * ldc + j], i, j);
-#endif
-}
-
 int64_t packed_a_floats(int64_t m, int64_t k) { return round_up(m, MR) * k; }
 
 int64_t packed_b_floats(int64_t k, int64_t n) {
@@ -637,6 +620,108 @@ void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb
   pre.a_panels = A.panels;
   // The skinny path streams row-major A directly, so it reads A.raw.
   sgemm_impl(false, false, A.m, n, A.k, A.raw, A.k, B, ldb, C, ldc, accumulate, epilogue, pre);
+}
+
+namespace {
+
+// Sparse-B product for an A of M rows. Each output column keeps an
+// M-float accumulator vector; a nonzero B(p, j) adds v * A[:, p] to column
+// j's vector, with A[:, p] read from the packed panels (ceil(M / MR)
+// micro-panel rows of MR contiguous floats). Per output element the terms
+// arrive in ascending p from zero within each KC panel and each panel's sum
+// is folded in as `panel + C` — the blocked and skinny kernels' order — so
+// the skipped zero terms are the only difference.
+template <int M>
+void sparse_b_kernel(const PrepackedA& A, const SparseBRow* rows, int64_t acc_cols,
+                     const ColumnRun* runs, int64_t nruns, float* C, int64_t ldc,
+                     const Epilogue& ep) {
+  constexpr int64_t kRows = (M + MR - 1) / MR * MR;
+  static thread_local std::vector<float> acc_buf, sum_buf;
+  // Cache-line aligned, so no accumulator vector straddles two lines.
+  acc_buf.resize(static_cast<size_t>(acc_cols * M + 16));
+  sum_buf.resize(static_cast<size_t>(acc_cols * M + 16));
+  auto align64 = [](std::vector<float>& v) {
+    const uintptr_t p = reinterpret_cast<uintptr_t>(v.data());
+    return v.data() + ((64 - p % 64) % 64) / sizeof(float);
+  };
+  float* const acc = align64(acc_buf);
+  float* const sum = align64(sum_buf);
+  // Only the listed columns are zeroed, folded and read.
+  auto zero_acc = [&] {
+    for (int64_t r = 0; r < nruns; ++r)
+      std::memset(acc + runs[r].start * M, 0, static_cast<size_t>(runs[r].len * M) * sizeof(float));
+  };
+  zero_acc();
+  for (int64_t pc = 0; pc < A.k; pc += KC) {
+    const int64_t kc = std::min(KC, A.k - pc);
+    const float* panel = A.panels + kRows * pc;
+    for (int64_t p = 0; p < kc; ++p) {
+      const SparseBRow& row = rows[pc + p];
+      if (row.count == 0) continue;
+      float w[kRows];
+      for (int64_t r0 = 0; r0 < kRows; r0 += MR)
+        std::memcpy(w + r0, panel + r0 * kc + p * MR, MR * sizeof(float));
+      for (int64_t i = 0; i < row.count; ++i) {
+        float* a = acc + (row.entries[i].col - row.shift) * M;
+        const float v = row.entries[i].v;
+        for (int j = 0; j < M; ++j) a[j] += v * w[j];
+      }
+    }
+    // The panel is complete: C = panel (first) or panel + C.
+    for (int64_t r = 0; r < nruns; ++r) {
+      const float* ap = acc + runs[r].start * M;
+      float* sp = sum + runs[r].start * M;
+      const int64_t len = runs[r].len * M;
+      if (pc == 0) {
+        std::memcpy(sp, ap, static_cast<size_t>(len) * sizeof(float));
+      } else {
+        for (int64_t i = 0; i < len; ++i) sp[i] = ap[i] + sp[i];
+      }
+    }
+    if (pc + KC < A.k) zero_acc();
+  }
+
+  // Transpose the column vectors into C's rows, then run the kernels'
+  // write-back epilogue over each row.
+  int64_t n = 0;
+  for (int64_t r = 0; r < nruns; ++r)
+    for (int64_t t = 0; t < runs[r].len; ++t, ++n) {
+      const float* sv = sum + (runs[r].start + t) * M;
+      for (int i = 0; i < M; ++i) C[i * ldc + n] = sv[i];
+    }
+#if defined(__GNUC__) || defined(__clang__)
+  const float* bias_padded = pad_bias_col(ep.bias_col, n);
+  static thread_local std::vector<float> buf;
+  buf.resize(static_cast<size_t>((n + 15) / 16 * 16));
+  for (int64_t i = 0; i < M; ++i) {
+    float* crow = C + i * ldc;
+    std::memcpy(buf.data(), crow, static_cast<size_t>(n) * sizeof(float));
+    apply_epilogue_lanes(ep, bias_padded, buf.data(), i, static_cast<int64_t>(buf.size()));
+    std::memcpy(crow, buf.data(), static_cast<size_t>(n) * sizeof(float));
+  }
+#else
+  for (int64_t i = 0; i < M; ++i)
+    for (int64_t j = 0; j < n; ++j) C[i * ldc + j] = apply_epilogue(ep, C[i * ldc + j], i, j);
+#endif
+}
+
+}  // namespace
+
+bool sparse_b_supported(int64_t m) { return m == 16 || m == 32 || m == 64; }
+
+void sgemm_sparse_b(const PrepackedA& A, const SparseBRow* rows, int64_t acc_cols,
+                    const ColumnRun* runs, int64_t nruns, float* C, int64_t ldc,
+                    const Epilogue& epilogue) {
+  if (A.panels == nullptr || A.k <= 0 || !sparse_b_supported(A.m))
+    throw std::invalid_argument("sgemm_sparse_b: unsupported PrepackedA view");
+  for (int64_t r = 0; r < nruns; ++r)
+    if (runs[r].start < 0 || runs[r].len < 0 || runs[r].start + runs[r].len > acc_cols)
+      throw std::invalid_argument("sgemm_sparse_b: column run outside the accumulator");
+  switch (A.m) {
+    case 16: sparse_b_kernel<16>(A, rows, acc_cols, runs, nruns, C, ldc, epilogue); break;
+    case 32: sparse_b_kernel<32>(A, rows, acc_cols, runs, nruns, C, ldc, epilogue); break;
+    default: sparse_b_kernel<64>(A, rows, acc_cols, runs, nruns, C, ldc, epilogue); break;
+  }
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* A,

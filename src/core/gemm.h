@@ -36,13 +36,6 @@ struct Epilogue {
   float leaky_slope = 0.01f;        // kLeakyReLU only
 };
 
-/// Depth of one k-panel. Every dispatch path sums an output element's k
-/// terms in ascending order within each kGemmKPanel-deep panel, starting
-/// from zero, and folds panel sums into C as `panel + C`. A kernel that
-/// skips provably-zero terms must keep this panel split to stay bitwise
-/// equal (nn::Conv3d's occupancy-skipping route does).
-inline constexpr int64_t kGemmKPanel = 192;
-
 /// C (m x n, ldc) = op(A) * op(B), overwriting C — or accumulating into C
 /// when `accumulate` is true. When `epilogue` is non-null its bias/activation
 /// are applied to the final C (after accumulation) on the hot micro-tile.
@@ -54,28 +47,6 @@ void sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            const float* A, int64_t lda, const float* B, int64_t ldb,
            float* C, int64_t ldc, bool accumulate = false,
            const Epilogue* epilogue = nullptr);
-
-/// Rows per micro-panel of a packed A image (pack_a_full).
-inline constexpr int64_t kGemmMR = 6;
-
-/// Column p of a pack_a_full image of an (m x k) op(A): rows
-/// [r0, r0 + kGemmMR) sit contiguously at `first + (r0 / kGemmMR) * stride`
-/// for r0 = 0, kGemmMR, ..., and rows past m read as zero.
-struct PackedAColumn {
-  const float* first;
-  int64_t stride;
-};
-inline PackedAColumn packed_a_column(const float* panels, int64_t m, int64_t k, int64_t p) {
-  const int64_t pc = p / kGemmKPanel * kGemmKPanel;
-  const int64_t kc = k - pc < kGemmKPanel ? k - pc : kGemmKPanel;
-  const int64_t mr_rows = (m + kGemmMR - 1) / kGemmMR * kGemmMR;
-  return {panels + mr_rows * pc + (p - pc) * kGemmMR, kGemmMR * kc};
-}
-
-/// Apply `ep` in place to an (m x n) block of C: the same vector epilogue
-/// the kernels fuse into their write-back, so a caller that produced the
-/// pre-epilogue sums another way finishes them bitwise identically.
-void apply_epilogue(const Epilogue& ep, float* C, int64_t ldc, int64_t m, int64_t n);
 
 /// Unblocked reference implementation with identical semantics.
 void sgemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -139,5 +110,53 @@ void sgemm_prepacked(int64_t m, const float* A, int64_t lda, const PrepackedB& B
 /// per-call pack_a in the blocked path.
 void sgemm_prepacked(const PrepackedA& A, int64_t n, const float* B, int64_t ldb, float* C,
                      int64_t ldc, bool accumulate = false, const Epilogue* epilogue = nullptr);
+
+// ---- sparse B against a prepacked A ---------------------------------------
+//
+// When B is mostly zeros (an occupancy-sparse voxel grid a convolution
+// lowers), its zero terms can be skipped: weight * 0 adds a signed zero,
+// which leaves any nonzero sum unchanged. sgemm_sparse_b walks only the
+// listed nonzeros, but sums every output in the blocked kernel's own k-panel
+// order and finishes it with the same vector epilogue, so its result is
+// bitwise the dense sgemm_prepacked's provided every entry of A is finite
+// (inf * 0 is NaN on the dense route). The one exception: a zero partial sum
+// whose sign an FMA underflow to -0 decided can come out with the other sign.
+//
+// B's columns live in an accumulator space of `acc_cols` columns, which may
+// be larger than C: C's columns are the accumulator columns listed by a
+// sequence of runs, and terms landing anywhere else are computed and
+// dropped. This lets a caller address B through a padded index space with
+// no bounds checks in its bucketing.
+
+/// One nonzero of B: value `v` at accumulator column `col` (before the
+/// shift of the row that lists it).
+struct SparseBEntry {
+  int32_t col;
+  float v;
+};
+/// Row p of B: its nonzeros are entries[0, count), at accumulator columns
+/// entries[i].col - shift. Rows may share one entry list under different
+/// shifts (the kernel offsets of a convolution over one input channel).
+struct SparseBRow {
+  const SparseBEntry* entries = nullptr;
+  int64_t count = 0;
+  int64_t shift = 0;
+};
+/// `len` consecutive accumulator columns starting at `start`.
+struct ColumnRun {
+  int64_t start = 0, len = 0;
+};
+
+/// True when sgemm_sparse_b has a kernel for an A of m rows (16, 32, 64).
+bool sparse_b_supported(int64_t m);
+
+/// C (A.m x n, ldc) = epilogue(A * B) for the (A.k x acc_cols) sparse B
+/// given by its A.k rows, where C's n columns are the accumulator columns
+/// listed by runs[0, nruns) in order. Every shifted entry column must lie in
+/// [0, acc_cols); a run outside it throws std::invalid_argument. Requires
+/// sparse_b_supported(A.m) and A.k > 0; reads A.panels only.
+void sgemm_sparse_b(const PrepackedA& A, const SparseBRow* rows, int64_t acc_cols,
+                    const ColumnRun* runs, int64_t nruns, float* C, int64_t ldc,
+                    const Epilogue& epilogue);
 
 }  // namespace df::core

@@ -69,194 +69,6 @@ void col2vol(const float* cols, int64_t cin, int64_t D, int64_t H, int64_t W, in
   }
 }
 
-// Geometry of one sample for the occupancy-skipping route.
-struct SkipShape {
-  int64_t cin, D, H, W, k, pad, Do, Ho, Wo;
-};
-
-// Occupancy-skipping Conv3d forward for one sample: out (COUT, Do*Ho*Wo)
-// from x (cin, D, H, W) and the layer's prepacked GEMM panels, which give
-// each kernel offset's COUT weights as a few contiguous micro-panel rows.
-// Only nonzero inputs are visited, and every output's terms are summed in
-// the dense GEMM's order: ascending p = (ci, kz, ky, kx) from zero within
-// each core::kGemmKPanel-deep panel, panel sums folded as `panel + C`, then
-// core::apply_epilogue. A skipped term is weight * 0, which adds a signed
-// zero and leaves any nonzero sum unchanged — so the result is bitwise the
-// dense route's wherever the weights are finite (the caller's contract) and
-// no partial sum is a -0 left by an FMA underflow.
-//
-// Input z feeds output zo = (z + pad - kz) / S exactly when
-// (z + pad) % S == kz % S, and then zo = q - a with q = (z + pad) / S and
-// a = kz / S. Nonzeros are bucketed by that parity class once per channel,
-// so each kernel offset walks only the inputs that feed it. The accumulator
-// grid extends every axis down by (k - 1) / S and up to the largest q (or
-// the last output), so q - a always lands inside it: the hot loop has no
-// bounds checks, and the terms that land outside [0, Do) are computed and
-// dropped.
-template <int S, int COUT>
-void conv_skip_zeros(const SkipShape& g, const float* x, const float* panels, float* out,
-                     const core::Epilogue& ep) {
-  struct Entry {
-    int32_t e;  // extended-grid index of the output for kernel offset 0
-    float v;
-  };
-  constexpr int kClasses = S * S * S;
-  constexpr int kPanelRows = (COUT + core::kGemmMR - 1) / core::kGemmMR * core::kGemmMR;
-  const int64_t k = g.k, k3 = k * k * k, K = g.cin * k3, A = (k - 1) / S;
-  // Each axis must also hold every valid output: with pad >= k some
-  // outputs lie past the largest q and see only padding.
-  const int64_t Ez = std::max((g.D - 1 + g.pad) / S, g.Do - 1) + A + 1;
-  const int64_t Ey = std::max((g.H - 1 + g.pad) / S, g.Ho - 1) + A + 1;
-  const int64_t Ex = std::max((g.W - 1 + g.pad) / S, g.Wo - 1) + A + 1;
-  const int64_t chan = g.D * g.H * g.W;
-  static thread_local std::vector<Entry> bucket[kClasses];
-  static thread_local std::vector<float> acc_buf, sum_buf;
-  // Cache-line aligned, so no accumulator vector straddles two lines.
-  const size_t grid = static_cast<size_t>(Ez * Ey * Ex * COUT);
-  acc_buf.resize(grid + 16);
-  sum_buf.resize(grid + 16);
-  auto align64 = [](std::vector<float>& v) {
-    const uintptr_t p = reinterpret_cast<uintptr_t>(v.data());
-    return v.data() + ((64 - p % 64) % 64) / sizeof(float);
-  };
-  float* const acc = align64(acc_buf);
-  float* const sum = align64(sum_buf);
-  // Only the valid outputs are zeroed, folded and read: a row of Wo
-  // outputs is contiguous in the extended grid.
-  const int64_t row_len = g.Wo * COUT;
-  auto valid_row = [&](int64_t zo, int64_t yo) {
-    return (((zo + A) * Ey + yo + A) * Ex + A) * COUT;
-  };
-  auto zero_acc = [&] {
-    for (int64_t zo = 0; zo < g.Do; ++zo)
-      for (int64_t yo = 0; yo < g.Ho; ++yo)
-        std::memset(acc + valid_row(zo, yo), 0, static_cast<size_t>(row_len) * sizeof(float));
-  };
-  bool first_panel = true;
-  auto fold = [&] {
-    // One GEMM k-panel is complete: C = panel (first) or panel + C.
-    for (int64_t zo = 0; zo < g.Do; ++zo)
-      for (int64_t yo = 0; yo < g.Ho; ++yo) {
-        const float* ap = acc + valid_row(zo, yo);
-        float* sp = sum + valid_row(zo, yo);
-        if (first_panel) {
-          std::memcpy(sp, ap, static_cast<size_t>(row_len) * sizeof(float));
-        } else {
-          for (int64_t i = 0; i < row_len; ++i) sp[i] = ap[i] + sp[i];
-        }
-      }
-    first_panel = false;
-    zero_acc();
-  };
-  zero_acc();
-
-  // Channel positions grouped by parity class, with each position's
-  // extended-grid output index: a function of the geometry only, so it is
-  // rebuilt only when this instantiation sees a new one.
-  struct Layout {
-    int64_t D = -1, H = -1, W = -1, k = -1, pad = -1;
-    std::vector<int32_t> pos, e;
-    int64_t start[kClasses + 1] = {};
-  };
-  static thread_local Layout lay;
-  if (lay.D != g.D || lay.H != g.H || lay.W != g.W || lay.k != k || lay.pad != g.pad) {
-    lay.D = g.D, lay.H = g.H, lay.W = g.W, lay.k = k, lay.pad = g.pad;
-    lay.pos.clear();
-    lay.e.clear();
-    for (int c = 0; c < kClasses; ++c) {
-      lay.start[c] = static_cast<int64_t>(lay.pos.size());
-      for (int64_t z = 0; z < g.D; ++z)
-        for (int64_t y = 0; y < g.H; ++y)
-          for (int64_t xx = 0; xx < g.W; ++xx) {
-            const int64_t qz = z + g.pad, qy = y + g.pad, qx = xx + g.pad;
-            if (((qz % S) * S + qy % S) * S + qx % S != c) continue;
-            lay.pos.push_back(static_cast<int32_t>((z * g.H + y) * g.W + xx));
-            lay.e.push_back(
-                static_cast<int32_t>(((qz / S + A) * Ey + qy / S + A) * Ex + qx / S + A));
-          }
-    }
-    lay.start[kClasses] = static_cast<int64_t>(lay.pos.size());
-  }
-  for (int c = 0; c < kClasses; ++c)
-    bucket[c].resize(static_cast<size_t>(lay.start[c + 1] - lay.start[c]));
-
-  int64_t count[kClasses];
-  for (int64_t ci = 0; ci < g.cin; ++ci) {
-    // Bucket the channel's nonzeros. Branch-free: every input is written,
-    // and only a nonzero advances its bucket.
-    const float* xc = x + ci * chan;
-    for (int c = 0; c < kClasses; ++c) {
-      Entry* dst = bucket[c].data();
-      int64_t n = 0;
-      for (int64_t i = lay.start[c]; i < lay.start[c + 1]; ++i) {
-        const float v = xc[lay.pos[static_cast<size_t>(i)]];
-        dst[n] = {lay.e[static_cast<size_t>(i)], v};
-        n += v != 0.0f ? 1 : 0;
-      }
-      count[c] = n;
-    }
-    for (int64_t kz = 0; kz < k; ++kz) {
-      for (int64_t ky = 0; ky < k; ++ky) {
-        for (int64_t kx = 0; kx < k; ++kx) {
-          const int64_t p = ci * k3 + (kz * k + ky) * k + kx;
-          if (p > 0 && p % core::kGemmKPanel == 0) fold();
-          const int64_t c = ((kz % S) * S + ky % S) * S + kx % S;
-          if (count[c] == 0) continue;
-          float w[kPanelRows];
-          const core::PackedAColumn col = core::packed_a_column(panels, COUT, K, p);
-          for (int r0 = 0; r0 < kPanelRows; r0 += core::kGemmMR)
-            std::memcpy(w + r0, col.first + (r0 / core::kGemmMR) * col.stride,
-                        core::kGemmMR * sizeof(float));
-          const int64_t delta = ((kz / S) * Ey + ky / S) * Ex + kx / S;
-          const Entry* en = bucket[c].data();
-          for (int64_t i = 0; i < count[c]; ++i) {
-            float* a = acc + (en[i].e - delta) * COUT;
-            const float v = en[i].v;
-            for (int j = 0; j < COUT; ++j) a[j] += v * w[j];
-          }
-        }
-      }
-    }
-  }
-  fold();
-
-  const int64_t N = g.Do * g.Ho * g.Wo;
-  for (int64_t zo = 0; zo < g.Do; ++zo)
-    for (int64_t yo = 0; yo < g.Ho; ++yo)
-      for (int64_t xo = 0; xo < g.Wo; ++xo) {
-        const float* sv = sum + valid_row(zo, yo) + xo * COUT;
-        const int64_t j = (zo * g.Ho + yo) * g.Wo + xo;
-        for (int c = 0; c < COUT; ++c) out[c * N + j] = sv[c];
-      }
-  core::apply_epilogue(ep, out, N, COUT, N);
-}
-
-using SkipFn = void (*)(const SkipShape&, const float*, const float*, float*,
-                        const core::Epilogue&);
-
-// The instantiated (stride, cout) pairs; any other layer stays dense.
-template <int S>
-SkipFn skip_kernel_for(int64_t cout) {
-  switch (cout) {
-    case 16: return conv_skip_zeros<S, 16>;
-    case 32: return conv_skip_zeros<S, 32>;
-    case 64: return conv_skip_zeros<S, 64>;
-    default: return nullptr;
-  }
-}
-
-SkipFn skip_kernel(int64_t stride, int64_t cout) {
-  if (stride == 1) return skip_kernel_for<1>(cout);
-  if (stride == 2) return skip_kernel_for<2>(cout);
-  return nullptr;
-}
-
-int64_t count_nonzero(const float* x, int64_t n) {
-  int64_t nnz = 0;
-  for (int64_t i = 0; i < n; ++i) nnz += x[i] != 0.0f ? 1 : 0;
-  return nnz;
-}
-
 }  // namespace
 
 Conv3d::Conv3d(int64_t in_channels, int64_t out_channels, int64_t kernel, core::Rng& rng,
@@ -409,17 +221,21 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   ep.bias_row = b_.value.data();
   ep.leaky_slope = leaky_slope;
 
-  if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
-  const bool quantized = !training_ && quant_ != nullptr;
-  const SkipFn skip = !training_ && !quantized && skip_enabled() && route_ != EvalRoute::kDense
-                          ? skip_kernel(stride_, cout_)
-                          : nullptr;
-  const SkipShape shape{cin_, D, H, W, k_, pad_, Do, Ho, Wo};
   const int64_t sample_in = cin_ * D * H * W;
-  const int64_t max_nnz =
-      route_ == EvalRoute::kSkip
-          ? sample_in
-          : static_cast<int64_t>(kSkipMaxDensity * static_cast<float>(sample_in));
+  const bool quantized = !training_ && quant_ != nullptr;
+  if (!training_ && !quantized && skip_ok_) {
+    // Occupancy-skipping route: each sample's zero inputs are never touched.
+    // Samples fan out over the compute pool; workers only read the plan.
+    if (skip_plan_.D != D || skip_plan_.H != H || skip_plan_.W != W)
+      build_skip_plan(D, H, W, Do, Ho, Wo);
+    core::parallel_for_auto(static_cast<size_t>(B), 2, [&](size_t b) {
+      const int64_t bi = static_cast<int64_t>(b);
+      forward_skip(in + bi * sample_in, o + bi * cout_ * N, N, ep);
+    });
+    return out;
+  }
+
+  if (plan_.D != D || plan_.H != H || plan_.W != W) build_plan(D, H, W, Do, Ho, Wo);
   // Groups of g samples share one column matrix and one GEMM, so the small
   // late layers run one wide GEMM instead of B narrow ones (2³ outputs give
   // a GEMM only 8 columns wide per sample). g stays 1 where one sample's
@@ -429,33 +245,19 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   // per-sample quantization. Groups fan out over the compute pool (sgemm
   // detects it runs on a worker and stays serial inside; workers only read
   // the plan).
-  int64_t g = std::clamp<int64_t>(kLowerBudgetFloats / std::max<int64_t>(1, K * N), 1, B);
-  if (lower_group_ > 0) g = std::min(lower_group_, B);
-  if (quantized) g = 1;
+  const int64_t g =
+      quantized ? 1 : std::clamp<int64_t>(kLowerBudgetFloats / std::max<int64_t>(1, K * N), 1, B);
   const int64_t groups = (B + g - 1) / g;
   core::parallel_for_auto(static_cast<size_t>(groups), 2, [&](size_t gi) {
-    static thread_local std::vector<int64_t> lowered;
     static thread_local std::vector<float> cols, cbuf;
-    lowered.clear();
     const int64_t b0 = static_cast<int64_t>(gi) * g;
-    for (int64_t b = b0; b < std::min(B, b0 + g); ++b) {
-      const float* xs = in + b * sample_in;
-      if (skip != nullptr && count_nonzero(xs, sample_in) <= max_nnz) {
-        skip(shape, xs, pa_.panels, o + b * cout_ * N, ep);
-      } else {
-        lowered.push_back(b);
-      }
-    }
-    const int64_t nl = static_cast<int64_t>(lowered.size());
-    if (nl == 0) return;
+    const int64_t nl = std::min(g, B - b0);
     const int64_t ld = nl * N;
     cols.resize(static_cast<size_t>(K * ld));
-    for (int64_t t = 0; t < nl; ++t) {
-      lower(in + lowered[static_cast<size_t>(t)] * sample_in, cols.data() + t * N, ld);
-    }
+    for (int64_t t = 0; t < nl; ++t) lower(in + (b0 + t) * sample_in, cols.data() + t * N, ld);
     // One sample writes straight into the output; a group's (cout, nl*N)
     // result is split back into per-sample blocks afterwards.
-    float* c = o + lowered[0] * cout_ * N;
+    float* c = o + b0 * cout_ * N;
     if (nl > 1) {
       cbuf.resize(static_cast<size_t>(cout_ * ld));
       c = cbuf.data();
@@ -488,7 +290,7 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
     }
     if (nl > 1) {
       for (int64_t t = 0; t < nl; ++t) {
-        float* ob = o + lowered[static_cast<size_t>(t)] * cout_ * N;
+        float* ob = o + (b0 + t) * cout_ * N;
         for (int64_t co = 0; co < cout_; ++co)
           std::memcpy(ob + co * N, c + co * ld + t * N, static_cast<size_t>(N) * sizeof(float));
       }
@@ -497,7 +299,94 @@ Tensor Conv3d::forward_act(const Tensor& x, core::EpilogueAct act, float leaky_s
   return out;
 }
 
-bool Conv3d::skip_supported() const { return skip_kernel(stride_, cout_) != nullptr; }
+// Input z feeds output zo = (z + pad - kz) / S exactly when
+// (z + pad) % S == kz % S, and then zo = q - a with q = (z + pad) / S and
+// a = kz / S. So the plan groups a channel's positions by that parity class
+// once, each with the accumulator index of q; kernel offset (kz, ky, kx)
+// reads the class of its parities under the shift of its a's. The
+// accumulator grid extends every axis down by (k - 1) / S and up to the
+// largest q (or the last output), so q - a always lands inside it: the
+// bucketing needs no bounds checks, and the terms that land outside
+// [0, Do) are computed and dropped (the runs list only valid outputs).
+void Conv3d::build_skip_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho,
+                             int64_t Wo) {
+  SkipPlan& sp = skip_plan_;
+  const int64_t S = stride_, A = (k_ - 1) / S;
+  // Each axis must also hold every valid output: with pad >= k some
+  // outputs lie past the largest q and see only padding.
+  const int64_t Ez = std::max((D - 1 + pad_) / S, Do - 1) + A + 1;
+  const int64_t Ey = std::max((H - 1 + pad_) / S, Ho - 1) + A + 1;
+  const int64_t Ex = std::max((W - 1 + pad_) / S, Wo - 1) + A + 1;
+  sp.D = D;
+  sp.H = H;
+  sp.W = W;
+  sp.acc_cols = Ez * Ey * Ex;
+  auto parity = [S](int64_t z, int64_t y, int64_t x) { return ((z % S) * S + y % S) * S + x % S; };
+  sp.pos.clear();
+  sp.col.clear();
+  sp.class_start.assign(static_cast<size_t>(S * S * S + 1), 0);
+  for (int64_t c = 0; c < S * S * S; ++c) {
+    sp.class_start[static_cast<size_t>(c)] = static_cast<int64_t>(sp.pos.size());
+    for (int64_t z = 0; z < D; ++z)
+      for (int64_t y = 0; y < H; ++y)
+        for (int64_t x = 0; x < W; ++x) {
+          const int64_t qz = z + pad_, qy = y + pad_, qx = x + pad_;
+          if (parity(qz, qy, qx) != c) continue;
+          sp.pos.push_back(static_cast<int32_t>((z * H + y) * W + x));
+          sp.col.push_back(static_cast<int32_t>(((qz / S + A) * Ey + qy / S + A) * Ex + qx / S + A));
+        }
+  }
+  sp.class_start.back() = static_cast<int64_t>(sp.pos.size());
+  sp.offset_class.clear();
+  sp.offset_shift.clear();
+  for (int64_t kz = 0; kz < k_; ++kz)
+    for (int64_t ky = 0; ky < k_; ++ky)
+      for (int64_t kx = 0; kx < k_; ++kx) {
+        sp.offset_class.push_back(parity(kz, ky, kx));
+        sp.offset_shift.push_back(((kz / S) * Ey + ky / S) * Ex + kx / S);
+      }
+  sp.runs.clear();
+  for (int64_t zo = 0; zo < Do; ++zo)
+    for (int64_t yo = 0; yo < Ho; ++yo)
+      sp.runs.push_back({(((zo + A) * Ey + yo + A) * Ex + A), Wo});
+}
+
+void Conv3d::forward_skip(const float* x, float* out, int64_t N, const core::Epilogue& ep) const {
+  const SkipPlan& sp = skip_plan_;
+  const int64_t chan = sp.D * sp.H * sp.W, k3 = k_ * k_ * k_;
+  const size_t classes = sp.class_start.size() - 1;
+  static thread_local std::vector<core::SparseBEntry> entries;
+  static thread_local std::vector<core::SparseBRow> rows;
+  static thread_local std::vector<core::SparseBRow> bucket;
+  entries.resize(static_cast<size_t>(cin_ * chan));
+  rows.resize(static_cast<size_t>(cin_ * k3));
+  bucket.resize(classes);
+  core::SparseBEntry* dst = entries.data();
+  for (int64_t ci = 0; ci < cin_; ++ci) {
+    // Bucket the channel's nonzeros by parity class. Branch-free: every
+    // input is written, and only a nonzero advances its bucket.
+    const float* xc = x + ci * chan;
+    for (size_t c = 0; c < classes; ++c) {
+      int64_t n = 0;
+      for (int64_t i = sp.class_start[c]; i < sp.class_start[c + 1]; ++i) {
+        const float v = xc[sp.pos[static_cast<size_t>(i)]];
+        dst[n] = {sp.col[static_cast<size_t>(i)], v};
+        n += v != 0.0f ? 1 : 0;
+      }
+      bucket[c] = {dst, n, 0};
+      dst += n;
+    }
+    for (int64_t off = 0; off < k3; ++off) {
+      core::SparseBRow& row = rows[static_cast<size_t>(ci * k3 + off)];
+      row = bucket[static_cast<size_t>(sp.offset_class[static_cast<size_t>(off)])];
+      row.shift = sp.offset_shift[static_cast<size_t>(off)];
+    }
+  }
+  core::sgemm_sparse_b(pa_, rows.data(), sp.acc_cols, sp.runs.data(),
+                       static_cast<int64_t>(sp.runs.size()), out, N, ep);
+}
+
+bool Conv3d::skip_supported() const { return core::sparse_b_supported(cout_); }
 
 void Conv3d::prepack() {
   const int64_t K = cin_ * k_ * k_ * k_;

@@ -4,13 +4,14 @@
 // matrices (vol2col) whose padded border is zero-filled up front and whose
 // interior is copied with branch-free row loops, then runs one blocked
 // sgemm per group of samples; backward reverses the lowering (col2vol).
-// Eval forwards of a compiled layer can instead skip the zero inputs of a
-// mostly-empty sample (the occupancy-skipping route), bitwise equal.
+// Eval forwards of a compiled layer instead skip each sample's zero inputs
+// (the occupancy-skipping route), bitwise equal.
 // The original direct 7-loop implementation is retained below as the
 // equivalence reference for tests and the speedup benchmark.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/gemm.h"
 #include "core/gemm_s8.h"
@@ -78,38 +79,27 @@ class Conv3d : public Module {
   bool prepacked() const { return pa_.panels != nullptr; }
 
   // -- eval routes (fp32) ------------------------------------------------
-  // Samples are lowered side by side, g at a time, into one (K, g*N) column
-  // matrix and one GEMM: g = kLowerBudgetFloats / (K*N), clamped to
-  // [1, batch]. Layers with a big column matrix (a first conv on a full
-  // voxel grid) keep g = 1 so it stays cache-resident; small late layers
-  // batch many samples. A prepacked layer with an occupancy-skipping
-  // kernel and finite weights sends each eval sample whose input density
-  // is at most kSkipMaxDensity down the skip route instead; it reads its
-  // weights from the same prepacked panels. Every route gives the same
-  // bits (conv3d.cpp states the one -0 caveat).
+  // A prepacked layer with a sparse kernel for its cout and finite weights
+  // runs eval forwards on the occupancy-skipping route: per sample, only the
+  // nonzero inputs are visited (core::sgemm_sparse_b over the prepacked
+  // panels). Every other forward lowers samples side by side, g at a time,
+  // into one (K, g*N) column matrix and one GEMM: g = kLowerBudgetFloats /
+  // (K*N), clamped to [1, batch]. Layers with a big column matrix (a first
+  // conv on a full voxel grid) keep g = 1 so it stays cache-resident; small
+  // late layers batch many samples. Every route gives the same bits
+  // (core/gemm.h states the one -0 caveat).
 
   // 512 KiB: no group matrix outgrows the per-sample first-conv matrix of
   // the 8³ voxel grid, so grouping keeps no more memory resident.
   static constexpr int64_t kLowerBudgetFloats = int64_t{1} << 17;
-  // Skip/dense time crossover in input density, measured on the first two
-  // convs of a 24³ grid; on the 8³ grid skip wins at every density.
-  static constexpr float kSkipMaxDensity = 0.6f;
-  enum class EvalRoute : uint8_t { kAuto, kDense, kSkip };
 
-  /// True when an occupancy-skipping kernel exists for this geometry
-  /// (stride 1 or 2, 16/32/64 output channels).
+  /// True when a sparse kernel exists for this layer's output channels
+  /// (core::sparse_b_supported: 16, 32 or 64).
   bool skip_supported() const;
-  /// True when eval forwards may take the skip route: prepacked, a kernel
-  /// for the geometry, and every weight finite (inf * 0 is NaN on the dense
+  /// True when eval forwards take the skip route: prepacked, a kernel for
+  /// the geometry, and every weight finite (inf * 0 is NaN on the dense
   /// route, so a skipped zero would change the result).
   bool skip_enabled() const { return skip_ok_; }
-  /// Pin the route (kSkip takes effect only when skip_enabled())
-  /// and the lowering group size (0 = from kLowerBudgetFloats). For
-  /// equivalence tests and tuning; serving keeps the defaults.
-  void set_eval_route(EvalRoute route, int64_t lower_group = 0) {
-    route_ = route;
-    lower_group_ = lower_group;
-  }
 
   // -- int8 quantized execution (src/quant/) ------------------------------
   // Eval forwards quantize each sample's column matrix to int8 panels and
@@ -163,6 +153,24 @@ class Conv3d : public Module {
   /// Replay the plan for one sample into `cols` (row stride `ldcols`).
   void lower(const float* x, float* cols, int64_t ldcols) const;
 
+  // Occupancy-skipping layout for one input shape (conv3d.cpp derives it):
+  // a channel's positions grouped by stride-parity class, each with its
+  // column in a padded accumulator grid of acc_cols outputs; the class and
+  // grid shift of every kernel offset; and the runs of valid outputs.
+  // Replica state, read-only for pool workers like ColsPlan.
+  struct SkipPlan {
+    int64_t D = -1, H = -1, W = -1;
+    int64_t acc_cols = 0;
+    std::vector<int32_t> pos, col;        // by class: channel offset, grid column
+    std::vector<int64_t> class_start;     // stride³ + 1 bounds into pos/col
+    std::vector<int64_t> offset_class;    // k³: parity class of (kz, ky, kx)
+    std::vector<int64_t> offset_shift;    // k³: grid shift of (kz, ky, kx)
+    std::vector<core::ColumnRun> runs;    // Do*Ho rows of Wo valid outputs
+  };
+  void build_skip_plan(int64_t D, int64_t H, int64_t W, int64_t Do, int64_t Ho, int64_t Wo);
+  /// Skip route for one sample: out (cout, N) from x (cin, D, H, W).
+  void forward_skip(const float* x, float* out, int64_t N, const core::Epilogue& ep) const;
+
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter w_;  // (cout, cin, k, k, k)
   Parameter b_;  // (cout)
@@ -171,8 +179,7 @@ class Conv3d : public Module {
   std::vector<float> packed_own_;
   core::PrepackedA pa_;
   bool skip_ok_ = false;  // see skip_enabled()
-  EvalRoute route_ = EvalRoute::kAuto;
-  int64_t lower_group_ = 0;
+  SkipPlan skip_plan_;
   std::unique_ptr<QuantizedConv> quant_;
   ActivationObserver* observer_ = nullptr;
 };

@@ -7,11 +7,13 @@
 // vs per-pose predict, and ThreadPool exception propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "chem/conformer.h"
@@ -187,10 +189,26 @@ Tensor sparse_input(const std::vector<int64_t>& shape, float density, Rng& rng) 
   return x;
 }
 
-Tensor eval_route(nn::Conv3d& conv, const Tensor& x, nn::Conv3d::EvalRoute route,
-                  core::EpilogueAct act, int64_t group = 0) {
-  conv.set_eval_route(route, group);
-  return conv.forward_act(x, act);
+// An eval layer on the skip route and its never-prepacked twin with the
+// same weights: the twin runs the raw sgemm, which is bitwise the prepacked
+// dense route, so it is the dense reference.
+struct SkipAndDense {
+  std::unique_ptr<nn::Conv3d> skip, dense;
+};
+
+SkipAndDense skip_and_dense(int64_t cin, int64_t cout, int64_t k, int64_t stride, int64_t pad,
+                            Rng& rng) {
+  SkipAndDense p;
+  p.skip = std::make_unique<nn::Conv3d>(cin, cout, k, rng, stride, pad);
+  p.dense = std::make_unique<nn::Conv3d>(cin, cout, k, rng, stride, pad);
+  for (nn::Conv3d* c : {p.skip.get(), p.dense.get()}) c->set_training(false);
+  for (auto [dst, src] : {std::pair{&p.dense->weight(), &p.skip->weight()},
+                          std::pair{&p.dense->bias(), &p.skip->bias()}}) {
+    std::memcpy(dst->value.data(), src->value.data(),
+                static_cast<size_t>(src->value.numel()) * sizeof(float));
+  }
+  p.skip->prepack();
+  return p;
 }
 
 TEST(Conv3dSkip, MatchesDenseRouteBitwise) {
@@ -198,22 +216,21 @@ TEST(Conv3dSkip, MatchesDenseRouteBitwise) {
   const core::EpilogueAct acts[] = {core::EpilogueAct::kNone, core::EpilogueAct::kReLU,
                                     core::EpilogueAct::kSigmoid};
   int cases = 0;
-  for (int64_t stride : {1, 2}) {
+  for (int64_t stride : {1, 2, 3}) {
     for (int64_t pad : {0, 1, 2}) {
       for (int64_t k : {3, 5}) {
         // K = cin * k^3 on both sides of the GEMM's 192-deep k-panel.
         const int64_t cins[2] = {k == 3 ? 7 : 1, k == 3 ? 8 : 2};
         for (int64_t cin : cins) {
           for (int64_t cout : {16, 32, 64}) {
-            nn::Conv3d conv(cin, cout, k, rng, stride, pad);
-            conv.set_training(false);
-            conv.prepack();
-            ASSERT_TRUE(conv.skip_enabled());
+            SkipAndDense conv = skip_and_dense(cin, cout, k, stride, pad, rng);
+            ASSERT_TRUE(conv.skip->skip_enabled());
+            ASSERT_FALSE(conv.dense->skip_enabled());
             for (float density : {0.0f, 0.02f, 0.17f, 1.0f}) {
               const Tensor x = sparse_input({3, cin, 6, 5, 7}, density, rng);
               for (core::EpilogueAct act : acts) {
-                const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense, act, 1);
-                const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip, act);
+                const Tensor dense = conv.dense->forward_act(x, act);
+                const Tensor skip = conv.skip->forward_act(x, act);
                 ASSERT_TRUE(same_bits(dense, skip))
                     << "s=" << stride << " p=" << pad << " k=" << k << " cin=" << cin
                     << " cout=" << cout << " density=" << density
@@ -226,16 +243,13 @@ TEST(Conv3dSkip, MatchesDenseRouteBitwise) {
       }
     }
   }
-  EXPECT_EQ(cases, 864);
+  EXPECT_EQ(cases, 1296);
 }
 
-TEST(Conv3dSkip, AutoRouteMatchesDenseOnMixedDensities) {
-  // Per-sample routing: one batch mixes samples either side of the
-  // crossover, so both routes (and a grouped dense GEMM) share the output.
+TEST(Conv3dSkip, MixedDensityBatchMatchesDense) {
+  // Samples of very different occupancy share one batch and one output.
   Rng rng(72);
-  nn::Conv3d conv(4, 32, 3, rng, 1, 1);
-  conv.set_training(false);
-  conv.prepack();
+  SkipAndDense conv = skip_and_dense(4, 32, 3, 1, 1, rng);
   Tensor x({5, 4, 6, 6, 6});
   const float densities[] = {0.05f, 1.0f, 0.3f, 0.9f, 0.0f};
   const int64_t per = x.numel() / 5;
@@ -243,43 +257,32 @@ TEST(Conv3dSkip, AutoRouteMatchesDenseOnMixedDensities) {
     const Tensor s = sparse_input({1, 4, 6, 6, 6}, densities[b], rng);
     std::memcpy(x.data() + b * per, s.data(), static_cast<size_t>(per) * sizeof(float));
   }
-  const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                  core::EpilogueAct::kReLU, 1);
-  const Tensor mixed = eval_route(conv, x, nn::Conv3d::EvalRoute::kAuto,
-                                  core::EpilogueAct::kReLU);
-  EXPECT_TRUE(same_bits(dense, mixed));
+  EXPECT_TRUE(same_bits(conv.dense->forward_act(x, core::EpilogueAct::kReLU),
+                        conv.skip->forward_act(x, core::EpilogueAct::kReLU)));
 }
 
 TEST(Conv3dSkip, PaddingWiderThanKernelMatchesDense) {
   // pad >= k: the border outputs see only padding (bias + act of zero).
   Rng rng(77);
   for (int64_t stride : {1, 2}) {
-    nn::Conv3d conv(3, 16, 3, rng, stride, 4);
-    conv.set_training(false);
-    conv.prepack();
+    SkipAndDense conv = skip_and_dense(3, 16, 3, stride, 4, rng);
     const Tensor x = sparse_input({2, 3, 5, 4, 6}, 0.3f, rng);
-    const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                    core::EpilogueAct::kSigmoid, 1);
-    const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip,
-                                   core::EpilogueAct::kSigmoid);
-    EXPECT_TRUE(same_bits(dense, skip)) << "stride " << stride;
+    EXPECT_TRUE(same_bits(conv.dense->forward_act(x, core::EpilogueAct::kSigmoid),
+                          conv.skip->forward_act(x, core::EpilogueAct::kSigmoid)))
+        << "stride " << stride;
   }
 }
 
 TEST(Conv3dSkip, NanInputGivesSameNanPositions) {
   Rng rng(73);
   for (int64_t stride : {1, 2}) {
-    nn::Conv3d conv(3, 16, 3, rng, stride, 1);
-    conv.set_training(false);
-    conv.prepack();
+    SkipAndDense conv = skip_and_dense(3, 16, 3, stride, 1, rng);
     Tensor x = sparse_input({2, 3, 7, 7, 7}, 0.1f, rng);
     x[17] = std::numeric_limits<float>::quiet_NaN();
     x[x.numel() - 5] = std::numeric_limits<float>::quiet_NaN();
     x[200] = std::numeric_limits<float>::infinity();
-    const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                    core::EpilogueAct::kNone, 1);
-    const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip,
-                                   core::EpilogueAct::kNone);
+    const Tensor dense = conv.dense->forward(x);
+    const Tensor skip = conv.skip->forward(x);
     int nans = 0;
     for (int64_t i = 0; i < dense.numel(); ++i) {
       ASSERT_EQ(std::isnan(dense[i]), std::isnan(skip[i])) << "stride " << stride << " at " << i;
@@ -295,26 +298,25 @@ TEST(Conv3dSkip, NanInputGivesSameNanPositions) {
 
 TEST(Conv3dSkip, NonFiniteWeightForcesDenseRoute) {
   Rng rng(74);
-  nn::Conv3d conv(2, 32, 3, rng, 1, 1);
-  conv.set_training(false);
-  conv.prepack();
-  EXPECT_TRUE(conv.skip_enabled());
+  SkipAndDense conv = skip_and_dense(2, 32, 3, 1, 1, rng);
+  EXPECT_TRUE(conv.skip->skip_enabled());
   // inf * 0 is NaN on the dense route, so skipping zeros would change the
-  // result: a non-finite weight disables the skip route, and a forced skip
-  // runs dense.
-  conv.weight().value[5] = std::numeric_limits<float>::infinity();
-  conv.prepack();
-  EXPECT_FALSE(conv.skip_enabled());
+  // result: a non-finite weight disables the skip route.
+  conv.skip->weight().value[5] = std::numeric_limits<float>::infinity();
+  conv.dense->weight().value[5] = std::numeric_limits<float>::infinity();
+  conv.skip->prepack();
+  EXPECT_FALSE(conv.skip->skip_enabled());
   const Tensor x = sparse_input({2, 2, 5, 5, 5}, 0.1f, rng);
-  const Tensor dense = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                  core::EpilogueAct::kNone, 1);
-  const Tensor skip = eval_route(conv, x, nn::Conv3d::EvalRoute::kSkip, core::EpilogueAct::kNone);
-  EXPECT_TRUE(same_bits(dense, skip));
+  const Tensor dense = conv.dense->forward(x);
+  EXPECT_TRUE(same_bits(dense, conv.skip->forward(x)));
+  bool any_nan = false;
+  for (int64_t i = 0; i < dense.numel(); ++i) any_nan = any_nan || std::isnan(dense[i]);
+  EXPECT_TRUE(any_nan);
   // External panels (a restored artifact) are checked the same way.
   std::vector<float> panels(static_cast<size_t>(core::packed_a_floats(32, 2 * 27)));
-  conv.weight().value[5] = std::numeric_limits<float>::quiet_NaN();
-  conv.attach_prepacked(panels.data());
-  EXPECT_FALSE(conv.skip_enabled());
+  conv.skip->weight().value[5] = std::numeric_limits<float>::quiet_NaN();
+  conv.skip->attach_prepacked(panels.data());
+  EXPECT_FALSE(conv.skip->skip_enabled());
   // Unsupported geometry (24 output channels) never skips.
   nn::Conv3d odd(2, 24, 3, rng, 1, 1);
   odd.prepack();
@@ -322,32 +324,58 @@ TEST(Conv3dSkip, NonFiniteWeightForcesDenseRoute) {
   EXPECT_FALSE(odd.skip_enabled());
 }
 
+// Samples one at a time (B = 1 always lowers with g = 1), stacked.
+Tensor per_sample_forward(nn::Conv3d& conv, const Tensor& x, core::EpilogueAct act) {
+  const int64_t B = x.dim(0), per = x.numel() / B;
+  std::vector<int64_t> one = x.shape();
+  one[0] = 1;
+  Tensor out;
+  for (int64_t b = 0; b < B; ++b) {
+    Tensor xb(one);
+    std::memcpy(xb.data(), x.data() + b * per, static_cast<size_t>(per) * sizeof(float));
+    const Tensor ob = conv.forward_act(xb, act);
+    if (b == 0) {
+      std::vector<int64_t> shape = ob.shape();
+      shape[0] = B;
+      out = Tensor(shape);
+    }
+    std::memcpy(out.data() + b * ob.numel(), ob.data(),
+                static_cast<size_t>(ob.numel()) * sizeof(float));
+  }
+  return out;
+}
+
 TEST(Conv3dGroup, GroupedLoweringMatchesPerSampleBitwise) {
   Rng rng(75);
   const int64_t B = 9;  // odd, so the last group is short for g = 2 and 7
-  for (bool prepacked : {false, true}) {
-    for (int64_t stride : {1, 2}) {
-      nn::Conv3d conv(5, 12, 3, rng, stride, 1);
-      conv.set_training(false);
-      if (prepacked) conv.prepack();
-      const Tensor x = Tensor::randn({B, 5, 6, 7, 5}, rng);
-      const Tensor ref = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                    core::EpilogueAct::kReLU, 1);
-      for (int64_t g : {int64_t{1}, int64_t{2}, int64_t{7}, B}) {
-        const Tensor grouped = eval_route(conv, x, nn::Conv3d::EvalRoute::kDense,
-                                          core::EpilogueAct::kReLU, g);
-        EXPECT_TRUE(same_bits(ref, grouped)) << "g=" << g << " prepacked=" << prepacked
-                                             << " stride=" << stride;
+  const int64_t cin = 5, K = cin * 27;
+  // Input shapes whose stride-1 column matrix (K x D*H*W) gives each group
+  // size: g = kLowerBudgetFloats / (K*N), clamped to [1, B].
+  struct Case {
+    int64_t g, D, H, W;
+  };
+  const Case cases[] = {{1, 8, 8, 8}, {2, 7, 7, 7}, {7, 5, 5, 5}, {B, 4, 4, 6}};
+  for (const Case& c : cases) {
+    ASSERT_EQ(std::clamp<int64_t>(nn::Conv3d::kLowerBudgetFloats / (K * c.D * c.H * c.W), 1, B),
+              c.g);
+    for (bool prepacked : {false, true}) {
+      for (int64_t stride : {1, 2}) {
+        // 12 output channels: no sparse kernel, so a prepacked layer runs
+        // the prepacked GEMM on the grouped lowering.
+        nn::Conv3d conv(cin, 12, 3, rng, stride, 1);
+        conv.set_training(false);
+        if (prepacked) conv.prepack();
+        const Tensor x = Tensor::randn({B, cin, c.D, c.H, c.W}, rng);
+        EXPECT_TRUE(same_bits(per_sample_forward(conv, x, core::EpilogueAct::kReLU),
+                              conv.forward_act(x, core::EpilogueAct::kReLU)))
+            << "g=" << c.g << " prepacked=" << prepacked << " stride=" << stride;
       }
     }
   }
   // Training forwards take the same grouped lowering.
-  nn::Conv3d conv(3, 8, 3, rng, 1, 1);
-  const Tensor x = Tensor::randn({B, 3, 5, 5, 5}, rng);
-  conv.set_eval_route(nn::Conv3d::EvalRoute::kDense, 1);
-  const Tensor ref = conv.forward(x);
-  conv.set_eval_route(nn::Conv3d::EvalRoute::kDense, B);
-  EXPECT_TRUE(same_bits(ref, conv.forward(x)));
+  nn::Conv3d conv(cin, 8, 3, rng, 1, 1);
+  const Tensor x = Tensor::randn({B, cin, 4, 4, 6}, rng);
+  EXPECT_TRUE(same_bits(per_sample_forward(conv, x, core::EpilogueAct::kNone), conv.forward(x)));
 }
 
 // ---- graph gather: ligand rows only ----
