@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "core/simd_math.h"
@@ -209,27 +208,20 @@ Tensor Voxelizer::voxelize_pocket(const std::vector<Atom>& pocket,
   return voxelize(Molecule(), pocket, center);
 }
 
-Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const Tensor& pocket_grid,
-                                       const core::Vec3& center) const {
-  if (cfg_.feature_set_version >= 2) {
-    throw std::logic_error(
-        "voxelize_ligand_onto: v2 H-bond channel couples ligand and pocket; "
-        "pocket-grid amortization is v1-only — call voxelize() per pose");
-  }
-  Tensor grid = voxelize(ligand, {}, center);
-  // Channel blocks are disjoint: ligand splats live in block 0, pocket in
-  // block 1, so grafting the cached pocket block reproduces the joint
-  // voxelization bit for bit.
-  const int64_t block = static_cast<int64_t>(cfg_.channels_per_block()) * cfg_.grid_dim *
-                        cfg_.grid_dim * cfg_.grid_dim;
-  std::memcpy(grid.data() + block, pocket_grid.data() + block,
-              static_cast<size_t>(block) * sizeof(float));
-  return grid;
-}
-
 Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector<Atom>& pocket,
                                        const Tensor& pocket_grid, const core::Vec3& center) const {
-  if (cfg_.feature_set_version < 2) return voxelize_ligand_onto(ligand, pocket_grid, center);
+  const int G = cfg_.grid_dim;
+  const int cpb = cfg_.channels_per_block();
+  const int64_t block = static_cast<int64_t>(cpb) * G * G * G;
+  if (cfg_.feature_set_version < 2) {
+    Tensor grid = voxelize(ligand, {}, center);
+    // Channel blocks are disjoint: ligand splats live in block 0, pocket in
+    // block 1, so grafting the cached pocket block reproduces the joint
+    // voxelization bit for bit.
+    std::memcpy(grid.data() + block, pocket_grid.data() + block,
+                static_cast<size_t>(block) * sizeof(float));
+    return grid;
+  }
 
   // v2: the ligand couples to the pocket only through the per-block H-bond
   // channel, so the graft still works — it just has to re-derive the H-bond
@@ -247,7 +239,6 @@ Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector
     poc_hb[static_cast<size_t>(hb.pocket_atom)] += 1.0f;
   }
 
-  const int G = cfg_.grid_dim;
   Tensor grid({1, cfg_.channels(), G, G, G});
   static thread_local std::vector<SplatOp> ops;
   ops.clear();
@@ -256,9 +247,6 @@ Tensor Voxelizer::voxelize_ligand_onto(const Molecule& ligand, const std::vector
     expand_atom(cfg_, ligand.atoms()[i], /*block=*/0, lig_hb[i], center, ops);
   }
   fill_ops(grid, ops, cfg_);
-
-  const int cpb = cfg_.channels_per_block();
-  const int64_t block = static_cast<int64_t>(cpb) * G * G * G;
   std::memcpy(grid.data() + block, pocket_grid.data() + block,
               static_cast<size_t>(block) * sizeof(float));
 

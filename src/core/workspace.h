@@ -19,8 +19,8 @@
 // replica per batch (serve/scorer.h).
 //
 // A Workspace is single-threaded state: one thread bumps it at a time. A
-// replica that fans featurization out over lanes gives each lane its own
-// arena. Pool workers spawned by leaf kernels (gemm, conv, voxel splat)
+// pipelined replica gives its featurize stage (one arena per ring slot) and
+// its forward separate arenas. Pool workers spawned by leaf kernels (gemm, conv, voxel splat)
 // never create Tensors, so they are unaffected by the caller's binding,
 // which is thread-local by design.
 #pragma once

@@ -73,7 +73,7 @@ struct Reader {
     if (pos + n > size) {
       throw H5LiteError(H5LiteError::Kind::Truncated, "h5lite: truncated file: " + path);
     }
-    std::memcpy(dst, data + pos, n);
+    if (n != 0) std::memcpy(dst, data + pos, n);  // an empty dataset's buffer is null
     pos += n;
   }
 };
@@ -211,9 +211,18 @@ H5LiteFile H5LiteFile::load(const std::string& path) {
   H5LiteFile out;
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t name_len = r.pod<uint32_t>();
+    // Check the length against the bytes left before sizing the name, so a
+    // corrupted length reports as damage instead of a 4 GiB zero-fill.
+    if (name_len > r.size - r.pos) {
+      throw H5LiteError(H5LiteError::Kind::Truncated, "h5lite: truncated dataset name in " + path);
+    }
     std::string name(name_len, '\0');
     r.bytes(name.data(), name_len);
     const uint8_t dtype = r.pod<uint8_t>();
+    if (dtype > 1) {
+      throw H5LiteError(H5LiteError::Kind::Format, "h5lite: bad dtype " + std::to_string(dtype) +
+                                                       " for dataset " + name + " in " + path);
+    }
     const uint32_t rank = r.pod<uint32_t>();
     Dataset ds;
     uint64_t numel = 1;

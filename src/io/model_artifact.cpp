@@ -39,28 +39,28 @@ void fsync_fd_path(const std::string& path) {
 
 }  // namespace
 
-void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> dims,
-                                const float* data) {
+void ArtifactWriter::add_section(const std::string& name, uint8_t dtype,
+                                 std::vector<int64_t> dims, const void* data, size_t elem_bytes) {
   Pending p;
-  p.dtype = 0;
+  p.dtype = dtype;
   p.dims = std::move(dims);
   int64_t n = 1;
   for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(float));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
+  p.bytes.resize(static_cast<size_t>(n) * elem_bytes);
+  // An empty section's buffer is null, and memcpy forbids null even for
+  // zero bytes.
+  if (!p.bytes.empty()) std::memcpy(p.bytes.data(), data, p.bytes.size());
   sections_[name] = std::move(p);
+}
+
+void ArtifactWriter::add_floats(const std::string& name, std::vector<int64_t> dims,
+                                const float* data) {
+  add_section(name, 0, std::move(dims), data, sizeof(float));
 }
 
 void ArtifactWriter::add_ints(const std::string& name, std::vector<int64_t> dims,
                               const int64_t* data) {
-  Pending p;
-  p.dtype = 1;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(int64_t));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
-  sections_[name] = std::move(p);
+  add_section(name, 1, std::move(dims), data, sizeof(int64_t));
 }
 
 void ArtifactWriter::add_scalar(const std::string& name, int64_t v) {
@@ -69,26 +69,12 @@ void ArtifactWriter::add_scalar(const std::string& name, int64_t v) {
 
 void ArtifactWriter::add_int8s(const std::string& name, std::vector<int64_t> dims,
                                const int8_t* data) {
-  Pending p;
-  p.dtype = 2;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
-  sections_[name] = std::move(p);
+  add_section(name, 2, std::move(dims), data, sizeof(int8_t));
 }
 
 void ArtifactWriter::add_int32s(const std::string& name, std::vector<int64_t> dims,
                                 const int32_t* data) {
-  Pending p;
-  p.dtype = 3;
-  p.dims = std::move(dims);
-  int64_t n = 1;
-  for (int64_t d : p.dims) n *= d;
-  p.bytes.resize(static_cast<size_t>(n) * sizeof(int32_t));
-  std::memcpy(p.bytes.data(), data, p.bytes.size());
-  sections_[name] = std::move(p);
+  add_section(name, 3, std::move(dims), data, sizeof(int32_t));
 }
 
 void ArtifactWriter::save(const std::string& path) const {

@@ -74,6 +74,9 @@ class ArtifactWriter {
   void save(const std::string& path) const;
 
  private:
+  void add_section(const std::string& name, uint8_t dtype, std::vector<int64_t> dims,
+                   const void* data, size_t elem_bytes);
+
   struct Pending {
     uint8_t dtype;
     std::vector<int64_t> dims;

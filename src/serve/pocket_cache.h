@@ -1,16 +1,15 @@
-// Cross-request pocket cache — per-target amortization of protein-side
-// featurization work.
+// Pocket cache — per-target amortization of protein-side featurization
+// work, the one pocket-amortization mechanism of the scoring path.
 //
 // A screening campaign scores thousands of poses against a handful of
-// receptors. The per-batch pocket-grid reuse inside RegressorScorer::score
-// (PR 5) already amortizes the protein voxel splat within one micro-batch,
-// but re-does it every batch — and the v2 feature set (interface H-bond
-// channel) disabled even that, because a ligand-free pocket grid looked
-// unusable. This cache lifts the amortization to the campaign level: an LRU
-// keyed by pocket content holding (a) the protein-only voxel grid, grafted
-// per pose via Voxelizer::voxelize_ligand_onto — the 4-arg overload makes
-// the graft bitwise-valid at v2 too — and (b) the pocket-side CellList the
-// graph featurizer's k-nearest crop queries (GraphFeaturizer::featurize's
+// receptors. Every RegressorScorer featurizes through a PocketCache: the
+// service shares one across its replicas (ServiceConfig::
+// pocket_cache_targets), and a replica without a shared cache owns a
+// private single-target one. The cache is an LRU keyed by pocket content
+// holding (a) the protein-only voxel grid, grafted per pose via
+// Voxelizer::voxelize_ligand_onto — bitwise equal to joint voxelization at
+// every feature-set version — and (b) the pocket-side CellList the graph
+// featurizer's k-nearest crop queries (GraphFeaturizer::featurize's
 // crop_cells overload).
 //
 // Keys are a 64-bit FNV-1a hash over the full pocket content (every atom

@@ -101,21 +101,15 @@ std::map<std::string, ScorerFactory> ModelRegistry::snapshot() const {
 
 void add_regressor(ModelRegistry& registry, const std::string& name,
                    models::RegressorFactory make_model, const chem::VoxelConfig& voxel,
-                   const chem::GraphFeaturizerConfig& graph, int featurize_threads,
-                   int pipeline_depth) {
-  registry.add(name, [name, make_model = std::move(make_model), voxel, graph, featurize_threads,
-                      pipeline_depth] {
-    auto scorer = std::make_unique<RegressorScorer>(name, make_model(), voxel, graph,
-                                                    featurize_threads);
-    if (pipeline_depth >= 1) scorer->set_pipeline_depth(pipeline_depth);
-    return scorer;
+                   const chem::GraphFeaturizerConfig& graph) {
+  registry.add(name, [name, make_model = std::move(make_model), voxel, graph] {
+    return std::make_unique<RegressorScorer>(name, make_model(), voxel, graph);
   });
 }
 
 void add_compiled(ModelRegistry& registry, const std::string& name,
                   const std::string& artifact_path, const chem::VoxelConfig& voxel,
-                  const chem::GraphFeaturizerConfig& graph, int featurize_threads,
-                  int pipeline_depth) {
+                  const chem::GraphFeaturizerConfig& graph) {
   // Open once, eagerly: registration fails fast on a missing/damaged
   // artifact, and all replicas share the one validated mapping.
   std::shared_ptr<io::ArtifactReader> image = io::ArtifactReader::open(artifact_path);
@@ -134,13 +128,11 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
         std::to_string(voxel.feature_set_version) + ", graph " +
         std::to_string(graph.feature_set_version) + ")");
   }
-  registry.add(name, [name, image, voxel, graph, featurize_threads, pipeline_depth] {
+  registry.add(name, [name, image, voxel, graph] {
     compile::CompiledModel cm = compile::load_compiled(image);
-    auto scorer = std::make_unique<RegressorScorer>(name, std::move(cm.model), voxel, graph,
-                                                    featurize_threads);
+    auto scorer = std::make_unique<RegressorScorer>(name, std::move(cm.model), voxel, graph);
     scorer->reserve_workspaces({static_cast<size_t>(cm.budget.forward_floats),
                                 static_cast<size_t>(cm.budget.feat_floats)});
-    if (pipeline_depth >= 1) scorer->set_pipeline_depth(pipeline_depth);
     return scorer;
   });
 }
@@ -148,8 +140,7 @@ void add_compiled(ModelRegistry& registry, const std::string& name,
 void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
                              models::RegressorFactory make_model,
                              const chem::VoxelConfig& voxel,
-                             const chem::GraphFeaturizerConfig& graph, int featurize_threads,
-                             int pipeline_depth) {
+                             const chem::GraphFeaturizerConfig& graph) {
   // Calibration featurization is paid once, by the first replica; the
   // samples are immutable afterwards and shared by every later mint.
   struct CalibCache {
@@ -157,8 +148,7 @@ void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
     std::shared_ptr<const std::vector<data::Sample>> samples;
   };
   auto cache = std::make_shared<CalibCache>();
-  registry.add(name, [name, make_model = std::move(make_model), voxel, graph, featurize_threads,
-                      pipeline_depth, cache] {
+  registry.add(name, [name, make_model = std::move(make_model), voxel, graph, cache] {
     std::shared_ptr<const std::vector<data::Sample>> samples;
     {
       std::lock_guard<std::mutex> lock(cache->mu);
@@ -173,10 +163,7 @@ void add_quantized_regressor(ModelRegistry& registry, const std::string& name,
     quant::QuantizeOptions qo;
     qo.calib.seed = kCalibSeed;
     quant::quantize_model(*model, ptrs, qo);
-    auto scorer = std::make_unique<RegressorScorer>(name, std::move(model), voxel, graph,
-                                                    featurize_threads);
-    if (pipeline_depth >= 1) scorer->set_pipeline_depth(pipeline_depth);
-    return scorer;
+    return std::make_unique<RegressorScorer>(name, std::move(model), voxel, graph);
   });
 }
 

@@ -28,10 +28,6 @@
 #include "models/regressor.h"
 #include "serve/pocket_cache.h"
 
-namespace df::core {
-class ThreadPool;
-}
-
 namespace df::serve {
 
 /// One docked pose to score: a posed ligand conformer plus the (borrowed)
@@ -122,29 +118,29 @@ class ReplicaGuard {
 /// they follow the same single-threaded replica contract as the model
 /// (models/regressor.h) and must never be shared across workers.
 ///
-/// With `featurize_threads` > 1 the featurization of a micro-batch fans out
-/// over a small private lane pool (contiguous pose chunks, one arena per
-/// lane); featurization is per-pose pure, so results are identical to the
-/// serial loop. Lanes are extra threads per replica — size them against the
-/// service's worker count (a few lanes pay off when workers < cores or the
-/// batch is featurize-bound).
+/// Pocket splatting is amortized through a PocketCache: a replica without
+/// a shared one (set_pocket_cache) owns a private single-target cache, so
+/// consecutive batches against one receptor reuse its grid and crop
+/// CellList.
 class RegressorScorer : public Scorer {
  public:
   RegressorScorer(std::string name, std::unique_ptr<models::Regressor> model,
-                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph,
-                  int featurize_threads = 0);
+                  const chem::VoxelConfig& voxel, const chem::GraphFeaturizerConfig& graph);
   ~RegressorScorer() override;
 
   std::string name() const override { return name_; }
+  /// The depth-1 case of the pipeline, run inline: featurize, then forward.
   std::vector<float> score(const std::vector<const PoseInput*>& poses) override;
 
   /// Stage-pipelined execution (see ScorerPipeline). The featurize stage
   /// runs on one background thread per replica; each ring slot owns its
-  /// own lane arenas, so steady state stays at zero tensor heap
+  /// own featurize arena, so steady state stays at zero tensor heap
   /// allocations at any depth. While batches are in flight, score() and
-  /// the knob setters throw rather than race the stage thread.
+  /// the setters throw rather than race the stage thread.
   ScorerPipeline* pipeline() override;
   void set_pipeline_depth(int depth) override;
+  /// Replace the private pocket cache with a shared one; nullptr restores
+  /// a private cache.
   void set_pocket_cache(std::shared_ptr<PocketCache> cache) override;
 
   /// Cumulative wall-time split of scoring on this replica — the
@@ -161,7 +157,7 @@ class RegressorScorer : public Scorer {
 
   /// Steady-state arena high-water marks. Measured on a warmed donor
   /// replica, they become the workspace budgets a compiled artifact carries
-  /// (compile::save_compiled); feat_floats is the widest featurize lane.
+  /// (compile::save_compiled).
   struct WorkspaceBudgets {
     size_t forward_floats = 0;
     size_t feat_floats = 0;
@@ -175,30 +171,31 @@ class RegressorScorer : public Scorer {
  private:
   class Pipeline;
 
-  /// Featurize `poses` into `batch` using the given lane arenas: the shared
-  /// body of the sequential score() path and the pipeline's featurize
-  /// stage. Per-batch pocket grids are carved from `grid_ws`; with a pocket
-  /// cache attached the grids (and the graph crop's CellList) come from
-  /// cache entries instead, pinned alive for the batch via `cache_refs` —
-  /// which also makes pocket-grid amortization valid at feature-set v2
-  /// (the 4-arg voxelize_ligand_onto graft).
-  void featurize_batch(const std::vector<const PoseInput*>& poses,
-                       std::vector<data::Sample>& batch,
-                       std::vector<std::unique_ptr<core::Workspace>>& lane_ws,
-                       core::ThreadPool* pool, core::Workspace& grid_ws,
-                       std::vector<core::Tensor>& grids,
-                       std::vector<std::shared_ptr<const PocketCache::Entry>>& cache_refs);
+  /// One micro-batch's featurize output. The samples are carved from the
+  /// struct's own arena, so they stay valid until the forward consumes them.
+  struct Featurized {
+    std::vector<data::Sample> batch;
+    // Per-pose pocket entries, held only while featurize() grafts from them.
+    std::vector<std::shared_ptr<const PocketCache::Entry>> pockets;
+    core::Workspace ws;
+    double seconds = 0.0;
+  };
+
+  /// The featurize stage: rewind `out`'s arena and carve one sample per
+  /// pose from it, grafting each pose onto its cached pocket grid.
+  void featurize(const std::vector<const PoseInput*>& poses, Featurized& out);
+  /// The forward stage: predict_batch over `in`'s samples under the
+  /// forward arena, then account the batch in the phase stats.
+  std::vector<float> forward(const Featurized& in);
 
   std::string name_;
   std::unique_ptr<models::Regressor> model_;
   chem::Voxelizer voxelizer_;
   chem::GraphFeaturizer featurizer_;
   std::atomic<bool> busy_{false};
-  // One arena per featurize lane (index 0 doubles as the serial lane) plus
-  // one for the model forward; reset at the top of every score() call.
-  std::vector<std::unique_ptr<core::Workspace>> feat_ws_;
+  // score()'s featurize output; ring slots carry their own.
+  Featurized featurized_;
   core::Workspace forward_ws_;
-  std::unique_ptr<core::ThreadPool> feat_pool_;  // null when serial
   std::shared_ptr<PocketCache> pocket_cache_;
   mutable std::mutex stats_mu_;
   PhaseStats stats_;

@@ -52,12 +52,17 @@ struct ScoringService::Slice {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// A micro-batch a worker has submitted to its replica's stage pipeline
-/// and not yet collected. The parts pin their Pending owners (and thus the
-/// pose storage the featurize stage reads) until copy-back.
+/// A micro-batch a worker has dispatched and not yet resolved. A replica
+/// with a stage pipeline was handed the poses at dispatch; one without
+/// scores them at collect time. The parts pin their Pending owners (and
+/// thus the pose storage the replica reads) until copy-back.
 struct ScoringService::InFlight {
   std::vector<Slice> parts;
   size_t total = 0;
+  std::string scorer;
+  Scorer* replica = nullptr;            // null when building it failed
+  std::string error;                    // why building the replica failed
+  std::vector<const PoseInput*> poses;  // score() input when there is no pipeline
 };
 
 namespace {
@@ -242,10 +247,8 @@ Scorer& ScoringService::replica_for(std::map<std::string, std::unique_ptr<Scorer
     std::lock_guard<std::mutex> build(build_mu_);
     replica = factories_.at(name)();
   }
-  // Service-level knobs layer on top of whatever the registry minted: a
-  // 0 depth leaves a registry-configured pipeline in place rather than
-  // tearing it down, and the shared pocket cache attaches to every
-  // replica that can use one (no-op virtuals otherwise).
+  // Service-level settings apply to every replica that can use them
+  // (no-op virtuals otherwise).
   if (cfg_.pipeline_depth > 0) replica->set_pipeline_depth(cfg_.pipeline_depth);
   if (pocket_cache_ != nullptr) replica->set_pocket_cache(pocket_cache_);
   {
@@ -264,35 +267,36 @@ void ScoringService::worker_loop() {
   std::map<std::string, std::unique_ptr<Scorer>> replicas;
   uint64_t seen_warmup = 0;
 
-  // Pipelined dispatch state: micro-batches this worker has submitted to
-  // its replica's pipeline and not yet collected. All entries belong to
-  // `inflight_name`'s replica and come back strictly FIFO, so copy-back
-  // content is identical to sequential dispatch — only its timing moves.
+  // Micro-batches this worker has dispatched and not yet resolved. All
+  // entries belong to one scorer's replica and come back strictly FIFO, so
+  // copy-back content does not depend on the depth — only its timing does.
   std::deque<InFlight> inflight;
-  std::string inflight_name;
-  Scorer* inflight_replica = nullptr;
 
   std::unique_lock<std::mutex> lock(mu_);
 
-  // Collect the oldest in-flight micro-batch: run its forward on the
-  // replica, copy scores back, resolve finished requests. Called with the
-  // lock held; cycles it around the compute.
+  // Resolve the oldest in-flight micro-batch: run its forward (or, with no
+  // pipeline, the whole score()) on the replica, copy scores back, resolve
+  // finished requests. Called with the lock held; cycles it around the
+  // compute.
   const auto collect_one = [&] {
     InFlight fl = std::move(inflight.front());
     inflight.pop_front();
     lock.unlock();
     std::vector<float> out;
-    std::string err;
-    try {
-      out = inflight_replica->pipeline()->collect();
-      if (out.size() != fl.total) {
-        err = "scorer '" + inflight_name + "' returned " + std::to_string(out.size()) +
-              " scores for " + std::to_string(fl.total) + " poses";
+    std::string err = std::move(fl.error);
+    if (err.empty()) {
+      try {
+        ScorerPipeline* pipe = fl.replica->pipeline();
+        out = pipe != nullptr ? pipe->collect() : fl.replica->score(fl.poses);
+        if (out.size() != fl.total) {
+          err = "scorer '" + fl.scorer + "' returned " + std::to_string(out.size()) +
+                " scores for " + std::to_string(fl.total) + " poses";
+        }
+      } catch (const std::exception& e) {
+        err = e.what();
+      } catch (...) {
+        err = "unknown exception from scorer '" + fl.scorer + "'";
       }
-    } catch (const std::exception& e) {
-      err = e.what();
-    } catch (...) {
-      err = "unknown exception from scorer '" + inflight_name + "'";
     }
     std::vector<std::shared_ptr<Pending>> done;
     lock.lock();
@@ -442,7 +446,7 @@ void ScoringService::worker_loop() {
 
     // A pipeline holds batches for one scorer at a time: drain foreign
     // batches before dispatching to a different replica.
-    if (!inflight.empty() && name != inflight_name) {
+    if (!inflight.empty() && name != inflight.back().scorer) {
       collect_one();
       continue;  // the queue may have changed shape while unlocked
     }
@@ -485,84 +489,32 @@ void ScoringService::worker_loop() {
     space_cv_.notify_all();
     lock.unlock();
 
-    // Score the micro-batch on this worker's private replica.
-    std::vector<float> out;
-    std::string err;
-    Scorer* replica = nullptr;
+    // Dispatch to this worker's private replica. A pipelined replica starts
+    // featurizing now and the worker goes back for more work: the forward
+    // runs at collect_one() — at the latest once the ring is full — so
+    // batch N+1's featurization overlaps batch N's forward. Any other
+    // replica counts as depth 1 and is scored right away.
+    InFlight fl;
+    fl.parts = std::move(parts);
+    fl.total = total;
+    fl.scorer = name;
     try {
-      replica = &replica_for(replicas, name);
+      fl.replica = &replica_for(replicas, name);
     } catch (const std::exception& e) {
-      err = e.what();
+      fl.error = e.what();
     } catch (...) {
-      err = "unknown exception from scorer '" + name + "'";
+      fl.error = "unknown exception from scorer '" + name + "'";
     }
-
-    if (err.empty() && replica->pipeline() != nullptr) {
-      // Pipelined dispatch: hand the batch to the featurize stage and go
-      // back for more work. The forward runs at collect_one() — at the
-      // latest once the ring is full — so batch N+1's featurization
-      // overlaps batch N's forward.
-      std::vector<const PoseInput*> ptrs;
-      ptrs.reserve(total);
-      for (const Slice& p : parts) {
-        for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-      }
-      ScorerPipeline& pipe = *replica->pipeline();
-      pipe.submit(std::move(ptrs));
-      lock.lock();
-      inflight.push_back(InFlight{std::move(parts), total});
-      inflight_name = name;
-      inflight_replica = replica;
-      if (inflight.size() >= static_cast<size_t>(pipe.depth())) collect_one();
-      continue;
+    fl.poses.reserve(fl.total);
+    for (const Slice& p : fl.parts) {
+      for (size_t i = p.begin; i < p.end; ++i) fl.poses.push_back(&p.owner->poses[i]);
     }
-
-    if (err.empty()) {
-      try {
-        std::vector<const PoseInput*> ptrs;
-        ptrs.reserve(total);
-        for (const Slice& p : parts) {
-          for (size_t i = p.begin; i < p.end; ++i) ptrs.push_back(&p.owner->poses[i]);
-        }
-        out = replica->score(ptrs);
-        if (out.size() != total) {
-          err = "scorer '" + name + "' returned " + std::to_string(out.size()) + " scores for " +
-                std::to_string(total) + " poses";
-        }
-      } catch (const std::exception& e) {
-        err = e.what();
-      } catch (...) {
-        err = "unknown exception from scorer '" + name + "'";
-      }
-    }
-
-    std::vector<std::shared_ptr<Pending>> done;
+    ScorerPipeline* pipe = fl.replica != nullptr ? fl.replica->pipeline() : nullptr;
+    if (pipe != nullptr) pipe->submit(std::move(fl.poses));
+    const size_t depth = pipe != nullptr ? static_cast<size_t>(pipe->depth()) : 1;
     lock.lock();
-    const auto finished = std::chrono::steady_clock::now();
-    size_t off = 0;
-    for (const Slice& p : parts) {
-      const size_t len = p.end - p.begin;
-      if (err.empty()) {
-        std::copy(out.begin() + static_cast<long>(off), out.begin() + static_cast<long>(off + len),
-                  p.owner->scores.begin() + static_cast<long>(p.begin));
-      } else if (!p.owner->failed) {
-        p.owner->failed = true;
-        p.owner->error = ScoreError::kScorerFailure;
-        p.owner->fail_msg = err;
-      }
-      off += len;
-      p.owner->remaining -= len;
-      if (p.owner->remaining == 0) {
-        stats_.latency.record_seconds(
-            std::chrono::duration<double>(finished - p.owner->accepted).count());
-        done.push_back(p.owner);
-      }
-    }
-    inflight_poses_ -= total;
-    if (queued_poses_ == 0 && inflight_poses_ == 0) drain_cv_.notify_all();
-    lock.unlock();
-    for (const auto& owner : done) fulfill(owner);
-    lock.lock();
+    inflight.push_back(std::move(fl));
+    if (inflight.size() >= depth) collect_one();
   }
 }
 

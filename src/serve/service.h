@@ -17,8 +17,9 @@
 //   * Dynamic micro-batcher. Workers coalesce poses for the same scorer
 //     across requests (and so across clients) up to `poses_per_batch`; a
 //     partial batch waits at most `flush_deadline_ms` for company before it
-//     dispatches. One worker = one in-flight micro-batch on that worker's
-//     private model replica (built lazily from the registry).
+//     dispatches. Each worker scores on its private model replica (built
+//     lazily from the registry), with up to `pipeline_depth` (at least one)
+//     micro-batches in flight.
 //   * Typed errors. Unknown scorer, full queue, shutdown and scorer
 //     exceptions come back as ScoreError values on the response, never as
 //     exceptions out of submit().
@@ -87,21 +88,18 @@ struct ServiceConfig {
   double flush_deadline_ms = 0.2; // max wait to fill a partial batch
   bool ordered_stream = false;    // deterministic batching (see header)
   // Stage pipelining: > 0 calls set_pipeline_depth(pipeline_depth) on every
-  // replica this service builds, and workers drive submit()/collect()
-  // instead of score() — up to `pipeline_depth` micro-batches in flight per
-  // worker, featurize overlapping the previous batch's forward. Results are
-  // bitwise identical to the sequential path at any depth (batch
-  // composition and per-batch compute are unchanged; only overlap timing
-  // moves), so ordered_stream keeps its determinism guarantee. 0 leaves
-  // replicas as the registry minted them (a registry-level depth still
-  // applies); backends without a pipelined path are unaffected.
+  // replica this service builds, so up to `pipeline_depth` micro-batches
+  // are in flight per worker, featurize overlapping the previous batch's
+  // forward. Batch composition and per-batch compute are unchanged — only
+  // overlap timing moves — so ordered_stream keeps its determinism
+  // guarantee. 0, and backends without a pipelined path, run one batch at
+  // a time.
   int pipeline_depth = 0;
   // Cross-request pocket cache: > 0 creates one serve::PocketCache of this
   // capacity (distinct receptor targets, LRU) shared by every replica of
-  // the service — pocket voxel grids and graph-crop cell lists are then
-  // computed once per target instead of once per batch. Hits are verified
-  // by exact pocket content, and cached featurization is bitwise identical
-  // to uncached. 0 disables.
+  // the service, so pocket voxel grids and graph-crop cell lists are
+  // computed once per target across workers. Hits are verified by exact
+  // pocket content. 0 leaves each replica its private single-target cache.
   size_t pocket_cache_targets = 0;
 };
 

@@ -327,6 +327,38 @@ TEST(CompiledArtifact, GoldenRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(CompiledArtifact, ZeroElementSectionsRoundTripEveryDtype) {
+  // Empty sections are real (a conv-free quantized model writes an empty
+  // conv mask); their null source buffers must never reach memcpy.
+  const std::string path = tmp_path("df_artifact_empty.dfca");
+  io::ArtifactWriter w;
+  w.add_floats("empty/f32", {0}, nullptr);
+  w.add_ints("empty/i64", {2, 0}, nullptr);
+  w.add_int8s("empty/i8", {0}, nullptr);
+  w.add_int32s("empty/i32", {0, 3}, nullptr);
+  w.add_scalar("meta/after", 7);
+  w.save(path);
+
+  auto r = io::ArtifactReader::open(path);
+  const std::pair<const char*, uint8_t> want[] = {
+      {"empty/f32", 0}, {"empty/i64", 1}, {"empty/i8", 2}, {"empty/i32", 3}};
+  for (const auto& [name, dtype] : want) {
+    SCOPED_TRACE(name);
+    const io::ArtifactSection& s = r->section(name);
+    EXPECT_EQ(s.dtype, dtype);
+    EXPECT_EQ(s.byte_len, 0u);
+    EXPECT_EQ(s.numel(), 0);
+  }
+  EXPECT_EQ(r->section("empty/i64").dims, (std::vector<int64_t>{2, 0}));
+  EXPECT_EQ(r->section("empty/i32").dims, (std::vector<int64_t>{0, 3}));
+  EXPECT_NO_THROW(r->floats("empty/f32"));
+  EXPECT_NO_THROW(r->ints("empty/i64"));
+  EXPECT_NO_THROW(r->int8s("empty/i8"));
+  EXPECT_NO_THROW(r->int32s("empty/i32"));
+  EXPECT_EQ(r->scalar("meta/after"), 7);
+  std::filesystem::remove(path);
+}
+
 void corrupt_byte(const std::string& path, int64_t offset, char xor_mask) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.good());
@@ -458,6 +490,10 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     auto h5_model = factory();
     models::load_checkpoint(*h5_model, h5);
     serve::RegressorScorer h5_scorer(name, std::move(h5_model), tiny_voxel(), {});
+    // The pocket grid is per-target state, not per-replica: both replicas
+    // share one cache, so the restored replica's first batch hits it.
+    auto pocket_cache = std::make_shared<serve::PocketCache>(1);
+    h5_scorer.set_pocket_cache(pocket_cache);
     std::vector<float> want;
     for (int i = 0; i < 3; ++i) want = h5_scorer.score(ptrs);  // warm the arenas
     const auto budgets = h5_scorer.workspace_capacities();
@@ -474,6 +510,7 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     serve::ModelRegistry reg;
     serve::add_compiled(reg, name, artifact, tiny_voxel());
     std::unique_ptr<serve::Scorer> replica = reg.make(name);
+    replica->set_pocket_cache(pocket_cache);
 
     // Cold start is allocation-free: the artifact carried the high-water
     // budgets, so the very FIRST batch neither grows an arena nor touches

@@ -63,6 +63,66 @@ TEST(H5Lite, NonexistentPathThrows) {
   EXPECT_THROW(H5LiteFile::load("/nonexistent/dir/x.h5lt"), std::runtime_error);
 }
 
+// Raw h5lite image: magic, version, then `body`; v2 appends the body CRC.
+void write_raw_h5lite(const std::string& path, uint32_t version, const std::string& body) {
+  std::string image = "H5LT";
+  image.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  image += body;
+  if (version >= 2) {
+    const uint32_t crc = crc32(body.data(), body.size());
+    image.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  }
+  std::ofstream(path, std::ios::binary) << image;
+}
+
+template <typename T>
+void append_raw(std::string& buf, T v) {
+  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+H5LiteError::Kind load_error_kind(const std::string& path) {
+  try {
+    H5LiteFile::load(path);
+  } catch (const H5LiteError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "load accepted a malformed file";
+  return H5LiteError::Kind::Open;
+}
+
+TEST(H5Lite, NameLengthBeyondFileRejectedBeforeAllocating) {
+  // 16 bytes claiming a 4 GiB dataset name: typed damage, not a 4 GiB
+  // zero-fill or an untyped bad_alloc.
+  std::string body;
+  append_raw<uint32_t>(body, 1);           // dataset count
+  append_raw<uint32_t>(body, 0xffffffffu);  // name_len
+  const std::string path = temp_path("df_h5lite_name_len.h5lt");
+  write_raw_h5lite(path, 1, body);
+  EXPECT_EQ(load_error_kind(path), H5LiteError::Kind::Truncated);
+  std::filesystem::remove(path);
+}
+
+TEST(H5Lite, UnknownDtypeRejectedAsFormat) {
+  // A well-formed, CRC-valid file whose only dataset carries dtype 2.
+  std::string body;
+  append_raw<uint32_t>(body, 1);  // dataset count
+  append_raw<uint32_t>(body, 1);  // name_len
+  body += "x";
+  append_raw<uint8_t>(body, 2);   // dtype: neither f32 (0) nor i64 (1)
+  append_raw<uint32_t>(body, 1);  // rank
+  append_raw<int64_t>(body, 1);   // dim
+  append_raw<int64_t>(body, 42);  // 8 data bytes
+  const std::string path = temp_path("df_h5lite_dtype.h5lt");
+  write_raw_h5lite(path, 2, body);
+  EXPECT_EQ(load_error_kind(path), H5LiteError::Kind::Format);
+
+  // The same bytes with dtype 1 load: only the dtype is at fault.
+  body[2 * sizeof(uint32_t) + 1] = 1;
+  write_raw_h5lite(path, 2, body);
+  EXPECT_EQ(H5LiteFile::load(path).get("x").ints()[0], 42);
+  std::filesystem::remove(path);
+}
+
 TEST(H5Lite, EmptyFileRoundTrips) {
   H5LiteFile f;
   const std::string path = temp_path("df_h5lite_empty.h5lt");

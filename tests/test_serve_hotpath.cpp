@@ -326,7 +326,7 @@ TEST(Voxelizer, PocketGridGraftBitwiseEqualsJointVoxelization) {
     chem::embed_conformer(lig, rng);
     lig.translate(core::Vec3{} - lig.centroid());
     const Tensor joint = vox.voxelize(lig, pocket, {});
-    const Tensor grafted = vox.voxelize_ligand_onto(lig, pocket_grid, {});
+    const Tensor grafted = vox.voxelize_ligand_onto(lig, pocket, pocket_grid, {});
     ASSERT_EQ(joint.shape(), grafted.shape());
     EXPECT_EQ(std::memcmp(joint.data(), grafted.data(),
                           static_cast<size_t>(joint.numel()) * sizeof(float)),
@@ -343,8 +343,7 @@ TEST(ScorerHotPath, WorkspaceReuseIsBitwiseStableOver100Batches) {
   std::vector<const serve::PoseInput*> ptrs;
   for (const auto& p : poses) ptrs.push_back(&p);
 
-  serve::RegressorScorer scorer("fusion", make_fusion(), tiny_voxel(), {},
-                                /*featurize_threads=*/2);
+  serve::RegressorScorer scorer("fusion", make_fusion(), tiny_voxel(), {});
   const std::vector<float> first = scorer.score(ptrs);
   ASSERT_EQ(first.size(), ptrs.size());
   for (int rep = 0; rep < 100; ++rep) {
@@ -365,18 +364,16 @@ TEST(ScorerHotPath, SteadyStateScoreMakesZeroTensorHeapAllocations) {
   std::vector<const serve::PoseInput*> ptrs;
   for (const auto& p : poses) ptrs.push_back(&p);
 
-  for (int feat_threads : {0, 2}) {
-    serve::RegressorScorer scorer("fusion", make_fusion(), tiny_voxel(), {}, feat_threads);
-    // Warmup sizes the arenas; afterwards every tensor in featurize +
-    // forward lives in workspace memory.
-    for (int i = 0; i < 3; ++i) scorer.score(ptrs);
-    const uint64_t before = core::alloc_count();
-    const std::vector<float> out = scorer.score(ptrs);
-    EXPECT_EQ(core::alloc_count(), before)
-        << "steady-state score() touched the heap for tensor data "
-        << "(featurize_threads=" << feat_threads << ")";
-    ASSERT_EQ(out.size(), ptrs.size());
-  }
+  // No cache attached: the replica's private pocket cache must hit on the
+  // same pocket and keep steady state heap-free.
+  serve::RegressorScorer scorer("fusion", make_fusion(), tiny_voxel(), {});
+  // Warmup sizes the arenas; afterwards every tensor in featurize +
+  // forward lives in workspace memory.
+  for (int i = 0; i < 3; ++i) scorer.score(ptrs);
+  const uint64_t before = core::alloc_count();
+  const std::vector<float> out = scorer.score(ptrs);
+  EXPECT_EQ(core::alloc_count(), before) << "steady-state score() touched the heap for tensor data";
+  ASSERT_EQ(out.size(), ptrs.size());
 }
 
 }  // namespace

@@ -1,26 +1,32 @@
-// Pipelined scoring hot path + cross-request pocket cache pins (ISSUE 10):
-//   * the pocket-aware voxel graft (4-arg voxelize_ligand_onto) is bitwise
-//     identical to joint voxelization at feature-set v2, where the 3-arg
-//     overload still refuses,
+// Pipelined scoring hot path + cross-request pocket cache pins:
+//   * the pocket-aware voxel graft (voxelize_ligand_onto) is bitwise
+//     identical to joint voxelization at feature-set v1 and v2,
 //   * GraphFeaturizer::featurize against a pre-built crop CellList equals
 //     the self-built path bitwise,
 //   * PocketCache: verified hits return the same entry, LRU eviction and
 //     config-change invalidation are observable in stats, held entries
 //     survive eviction,
 //   * RegressorScorer's stage pipeline is bitwise identical to sequential
-//     score() at every (depth, featurize_threads) combination, and through
-//     an ordered-stream ScoringService at every (workers, depth, cache)
-//     combination,
-//   * cache hit == cache miss bitwise at feature-set v1 AND v2 (v2 is
-//     where the cache re-enables pocket amortization),
+//     score() at every depth, and through an ordered-stream ScoringService
+//     at every (workers, depth, cache) combination,
+//   * cache hit == cache miss bitwise at feature-set v1 AND v2,
+//   * a service serving a pipelined and a pipeline-less scorer side by side
+//     resolves every request exactly as it does at depth 0, failures
+//     included,
 //   * featurize-stage errors surface at collect() as typed exceptions and
 //     leave the pipeline usable,
 //   * a warmed pipeline at depth 2 scores with zero tensor heap
 //     allocations while stages overlap.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -141,18 +147,15 @@ TEST(PocketGraft, V2GraftBitwiseEqualsJointVoxelization) {
                           static_cast<size_t>(joint.numel()) * sizeof(float)),
               0)
         << "v2 graft diverged from joint voxelization, ligand " << i;
-    // The pocket-blind overload still refuses v2 — only the pocket-aware
-    // graft can re-derive the interface H-bond coupling.
-    EXPECT_THROW(vox.voxelize_ligand_onto(lig, pocket_grid, {}), std::logic_error);
   }
 
-  // At v1 the pocket-aware overload must collapse to the historical path.
+  // At v1 the graft must reproduce the joint voxelization too.
   const chem::Voxelizer vox1(tiny_voxel(1));
   const Tensor grid1 = vox1.voxelize_pocket(pocket, {});
   chem::Molecule lig = chem::generate_molecule({}, rng);
   chem::embed_conformer(lig, rng);
   lig.translate(core::Vec3{} - lig.centroid());
-  const Tensor a = vox1.voxelize_ligand_onto(lig, grid1, {});
+  const Tensor a = vox1.voxelize(lig, pocket, {});
   const Tensor b = vox1.voxelize_ligand_onto(lig, pocket, grid1, {});
   EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)), 0);
 }
@@ -295,7 +298,7 @@ TEST(PocketCacheTest, ConcurrentLookupsBuildOnceAndAgree) {
 
 // ---- pipelined scorer ≡ sequential, bitwise -----------------------------
 
-TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepthsAndLanes) {
+TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepths) {
   Rng rng(81);
   const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
   constexpr int kBatches = 6;
@@ -310,38 +313,35 @@ TEST(PipelinedScorer, BitwiseEqualsSequentialAcrossDepthsAndLanes) {
     for (const auto& b : batches) want.push_back(scorer.score(ptrs_of(b)));
   }
 
-  for (int feat_threads : {0, 2}) {
-    for (int depth : {1, 2, 4}) {
-      serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                    tiny_graph(), feat_threads);
-      scorer.set_pipeline_depth(depth);
-      serve::ScorerPipeline* pipe = scorer.pipeline();
-      ASSERT_NE(pipe, nullptr);
-      EXPECT_EQ(pipe->depth(), depth);
+  for (int depth : {1, 2, 4}) {
+    serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
+                                  tiny_graph());
+    scorer.set_pipeline_depth(depth);
+    serve::ScorerPipeline* pipe = scorer.pipeline();
+    ASSERT_NE(pipe, nullptr);
+    EXPECT_EQ(pipe->depth(), depth);
 
-      const std::string tag =
-          "depth=" + std::to_string(depth) + " lanes=" + std::to_string(feat_threads);
-      std::vector<std::vector<float>> got;
-      for (const auto& b : batches) {
-        if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
-        pipe->submit(ptrs_of(b));
-      }
-      while (pipe->in_flight() > 0) got.push_back(pipe->collect());
-      ASSERT_EQ(got.size(), want.size()) << tag;
-      for (int b = 0; b < kBatches; ++b) {
-        expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
-                       tag + " batch " + std::to_string(b));
-      }
-
-      // The drained replica's sequential path is untouched by pipelining.
-      expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
-      // Stats account every batch exactly once, at collect time.
-      EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
-
-      // Depth 0 tears the pipeline down.
-      scorer.set_pipeline_depth(0);
-      EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
+    const std::string tag = "depth=" + std::to_string(depth);
+    std::vector<std::vector<float>> got;
+    for (const auto& b : batches) {
+      if (pipe->in_flight() == static_cast<size_t>(depth)) got.push_back(pipe->collect());
+      pipe->submit(ptrs_of(b));
     }
+    while (pipe->in_flight() > 0) got.push_back(pipe->collect());
+    ASSERT_EQ(got.size(), want.size()) << tag;
+    for (int b = 0; b < kBatches; ++b) {
+      expect_bitwise(got[static_cast<size_t>(b)], want[static_cast<size_t>(b)],
+                     tag + " batch " + std::to_string(b));
+    }
+
+    // The drained replica's sequential path is untouched by pipelining.
+    expect_bitwise(scorer.score(ptrs_of(batches[0])), want[0], tag + " post-drain score()");
+    // Stats account every batch exactly once, at collect time.
+    EXPECT_EQ(scorer.phase_stats().batches, static_cast<uint64_t>(kBatches + 1)) << tag;
+
+    // Depth 0 tears the pipeline down.
+    scorer.set_pipeline_depth(0);
+    EXPECT_EQ(scorer.pipeline(), nullptr) << tag;
   }
 }
 
@@ -402,7 +402,7 @@ TEST(PipelinedScorer, SteadyStateZeroTensorHeapAllocationsAtDepth2) {
   const auto ptrs = ptrs_of(poses);
 
   serve::RegressorScorer scorer("fusion", make_fusion(tiny_voxel().channels()), tiny_voxel(),
-                                tiny_graph(), /*featurize_threads=*/2);
+                                tiny_graph());
   auto cache = std::make_shared<serve::PocketCache>(4);
   scorer.set_pocket_cache(cache);
   scorer.set_pipeline_depth(2);
@@ -443,13 +443,10 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
   std::vector<std::vector<serve::PoseInput>> client_poses;
   for (int c = 0; c < kClients; ++c) client_poses.push_back(make_poses(10, &pocket, rng));
 
-  // `registry_depth` pipelines at the registry level (the service leaves
-  // it alone at pipeline_depth == 0); `depth` at the service level.
   struct Config {
     int workers;
     int depth;
     size_t cache_targets;
-    int registry_depth;
   };
   const auto run_config = [&](const Config& cc) {
     serve::ModelRegistry reg;
@@ -465,7 +462,7 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
           fcfg.fusion_nodes = 12;
           return std::make_unique<models::FusionModel>(fcfg, cnn, sg, mrng);
         },
-        tiny_voxel(), tiny_graph(), /*featurize_threads=*/0, cc.registry_depth);
+        tiny_voxel(), tiny_graph());
     serve::ServiceConfig sc;
     sc.workers = cc.workers;
     sc.poses_per_batch = 4;  // 10-pose requests split 4/4/2
@@ -488,23 +485,21 @@ TEST(PipelinedService, OrderedStreamBitwiseAcrossDepthWorkersAndCache) {
     return scores;
   };
 
-  const auto baseline = run_config({1, 0, 0, 0});
+  const auto baseline = run_config({1, 0, 0});
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(baseline[static_cast<size_t>(c)].size(), 10u);
   }
   const Config configs[] = {
-      {1, 2, 4, 0},  // pipelined + cached, single worker
-      {4, 2, 4, 0},  // pipelined + cached, parallel workers
-      {2, 4, 0, 0},  // deep pipeline, no cache
-      {1, 0, 4, 0},  // cache only, sequential
-      {2, 0, 0, 3},  // registry-configured pipeline, service leaves it alone
+      {1, 2, 4},  // pipelined + cached, single worker
+      {4, 2, 4},  // pipelined + cached, parallel workers
+      {2, 4, 0},  // deep pipeline, no cache
+      {1, 0, 4},  // cache only, sequential
   };
   for (const Config& cc : configs) {
     const auto got = run_config(cc);
     const std::string tag = "workers=" + std::to_string(cc.workers) +
                             " depth=" + std::to_string(cc.depth) +
-                            " cache=" + std::to_string(cc.cache_targets) +
-                            " registry_depth=" + std::to_string(cc.registry_depth);
+                            " cache=" + std::to_string(cc.cache_targets);
     for (int c = 0; c < kClients; ++c) {
       expect_bitwise(got[static_cast<size_t>(c)], baseline[static_cast<size_t>(c)],
                      tag + " client " + std::to_string(c));
@@ -558,6 +553,153 @@ TEST(PipelinedService, TypedErrorsAndDrainWithBatchesInFlight) {
   // drain() must wait out in-flight pipelined batches too.
   service.drain();
   service.shutdown();
+}
+
+// ---- mixed backends through the one worker dispatch path ----------------
+
+// Holds the worker in its first score() until opened, so a test can queue a
+// whole workload before any of it is dispatched.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool open = false;
+};
+
+class GateScorer : public serve::Scorer {
+ public:
+  explicit GateScorer(Gate& gate) : gate_(gate) {}
+  std::string name() const override { return "gate"; }
+  std::vector<float> score(const std::vector<const serve::PoseInput*>& poses) override {
+    std::unique_lock<std::mutex> lock(gate_.mu);
+    gate_.entered = true;
+    gate_.cv.notify_all();
+    gate_.cv.wait(lock, [&] { return gate_.open; });
+    return std::vector<float>(poses.size(), 0.0f);
+  }
+
+ private:
+  Gate& gate_;
+};
+
+class ThrowingScorer : public serve::Scorer {
+ public:
+  std::string name() const override { return "boom"; }
+  std::vector<float> score(const std::vector<const serve::PoseInput*>& /*poses*/) override {
+    throw std::runtime_error("boom: scorer failure");
+  }
+};
+
+struct MixedRequest {
+  std::string scorer;
+  std::vector<serve::PoseInput> poses;
+};
+
+struct MixedRun {
+  std::vector<serve::ScoreResponse> responses;  // in plan order
+  serve::ServiceStats stats;
+};
+
+// Two clients submit `plan` alternately (client i % 2 sends request i),
+// taking turns so the queue order is the plan order, while the one gated
+// worker is held; then the gate opens and every request resolves.
+MixedRun run_mixed(const std::vector<MixedRequest>& plan, bool ordered, int depth) {
+  Gate gate;
+  serve::ModelRegistry reg;
+  serve::add_regressor(reg, "fusion", [] { return make_fusion(tiny_voxel().channels()); },
+                       tiny_voxel(), tiny_graph());
+  reg.add("vina_pk", [] { return std::make_unique<serve::VinaPkScorer>(); });
+  reg.add("boom", [] { return std::make_unique<ThrowingScorer>(); });
+  reg.add("gate", [&gate] { return std::make_unique<GateScorer>(gate); });
+  serve::ServiceConfig sc;
+  sc.workers = 1;
+  sc.poses_per_batch = 4;
+  sc.ordered_stream = ordered;
+  sc.flush_deadline_ms = 0.05;
+  sc.pipeline_depth = depth;
+  serve::ScoringService service(reg, sc);
+
+  Rng rng(88);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  serve::ScoreRequest gate_req;
+  gate_req.scorer = "gate";
+  gate_req.poses = make_poses(1, &pocket, rng);
+  std::future<serve::ScoreResponse> gate_done = service.submit(std::move(gate_req));
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    gate.cv.wait(lock, [&] { return gate.entered; });
+  }
+
+  std::vector<std::future<serve::ScoreResponse>> futures(plan.size());
+  std::atomic<size_t> turn{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < plan.size(); i += 2) {
+        while (turn.load() != i) std::this_thread::yield();
+        serve::ScoreRequest req;
+        req.scorer = plan[i].scorer;
+        req.client = "client" + std::to_string(c);
+        req.poses = plan[i].poses;
+        futures[i] = service.submit(std::move(req));
+        turn.store(i + 1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  // Every queued head is now older than the flush window, so the batcher
+  // picks in queue order and batch composition is fixed by the plan alone.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+
+  MixedRun run;
+  EXPECT_EQ(gate_done.get().error, serve::ScoreError::kNone);
+  for (auto& f : futures) run.responses.push_back(f.get());
+  run.stats = service.stats();
+  return run;
+}
+
+TEST(PipelinedService, MixedBackendsResolveAsAtDepthZero) {
+  Rng rng(87);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  const char* const scorers[] = {"fusion", "vina_pk", "fusion", "boom",   "vina_pk", "fusion",
+                                 "fusion", "vina_pk", "boom",   "fusion", "vina_pk", "fusion"};
+  const int sizes[] = {3, 2, 5, 1, 4, 3, 2, 6, 1, 3, 2, 4};
+  std::vector<MixedRequest> plan;
+  for (size_t i = 0; i < std::size(sizes); ++i) {
+    plan.push_back({scorers[i], make_poses(sizes[i], &pocket, rng)});
+  }
+
+  for (bool ordered : {true, false}) {
+    const std::string mode = ordered ? "ordered-stream" : "coalescing";
+    const MixedRun want = run_mixed(plan, ordered, 0);
+    const MixedRun got = run_mixed(plan, ordered, 2);
+    ASSERT_EQ(got.responses.size(), plan.size()) << mode;
+    for (size_t i = 0; i < plan.size(); ++i) {
+      const std::string tag = mode + " request " + std::to_string(i) + " (" + plan[i].scorer + ")";
+      if (plan[i].scorer == "boom") {
+        EXPECT_EQ(got.responses[i].error, serve::ScoreError::kScorerFailure) << tag;
+        EXPECT_TRUE(got.responses[i].scores.empty()) << tag;
+      } else {
+        EXPECT_EQ(got.responses[i].error, serve::ScoreError::kNone) << tag;
+        EXPECT_EQ(got.responses[i].scores.size(), plan[i].poses.size()) << tag;
+      }
+      EXPECT_EQ(got.responses[i].error, want.responses[i].error) << tag;
+      expect_bitwise(got.responses[i].scores, want.responses[i].scores, tag);
+    }
+    EXPECT_EQ(got.stats.batches, want.stats.batches) << mode;
+    EXPECT_EQ(got.stats.coalesced_batches, want.stats.coalesced_batches) << mode;
+    if (!ordered) {
+      EXPECT_GT(got.stats.coalesced_batches, 0u) << "no cross-client batch formed";
+    }
+    // Every resolved request, the gate's and the failed ones included.
+    EXPECT_EQ(got.stats.latency.count(), plan.size() + 1) << mode;
+    EXPECT_EQ(want.stats.latency.count(), plan.size() + 1) << mode;
+  }
 }
 
 }  // namespace
