@@ -78,7 +78,7 @@ class Workspace {
 
   /// RAII: bind `ws` as the thread's current workspace without touching the
   /// bump cursor. Used when the carved tensors must outlive the binding
-  /// (e.g. featurizer lanes whose samples feed a later forward pass); the
+  /// (e.g. featurized samples that feed a later forward pass); the
   /// owner rewinds explicitly with reset() at the top of the next batch.
   class Bind {
    public:

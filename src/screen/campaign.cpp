@@ -39,6 +39,10 @@ CampaignReport ScreeningCampaign::run(const std::vector<data::LibraryCompound>& 
   sc.workers = cfg_.threads > 0 ? cfg_.threads : static_cast<int>(hw != 0 ? hw : 1);
   sc.poses_per_batch = cfg_.job.poses_per_batch;
   sc.ordered_stream = true;
+  // Each compound's poses against every target sit next to each other in
+  // the work list, so micro-batches span targets: share one cache that
+  // holds them all rather than rebuild a replica's private one per batch.
+  sc.pocket_cache_targets = targets_.size();
   serve::ScoringService service(registry, sc);
   return run(compounds, service, "campaign");
 }

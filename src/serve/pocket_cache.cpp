@@ -118,10 +118,16 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
   entry->voxel_cfg = vc;
   entry->crop_cell_size = cell_size;
   {
-    // The entry outlives every batch: its tensors must heap-own their
-    // storage even when the calling worker has an arena bound.
+    // The entry outlives every batch: its grid must not borrow from the
+    // calling worker's arena, only from storage the entry owns.
     core::Workspace::Unbind unbound;
-    entry->grid = voxelizer.voxelize_pocket(pocket, center);
+    entry->storage = std::move(spare_);
+    if (entry->storage != nullptr) {
+      core::Workspace::Bind bind(*entry->storage);
+      entry->grid = voxelizer.voxelize_pocket(pocket, center);
+    } else {
+      entry->grid = voxelizer.voxelize_pocket(pocket, center);
+    }
     if (!pocket.empty()) {
       std::vector<core::Vec3> pos(pocket.size());
       for (size_t i = 0; i < pocket.size(); ++i) pos[i] = pocket[i].pos;
@@ -137,6 +143,17 @@ std::shared_ptr<const PocketCache::Entry> PocketCache::lookup(
     ++stats_.evictions;
   }
   return entry;
+}
+
+void PocketCache::reserve_grid(const chem::VoxelConfig& vc) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (spare_ != nullptr) return;
+  const int64_t g = vc.grid_dim;
+  // One borrow of the grid's size grows a block that fits exactly that
+  // borrow; the block's pages stay untouched until a build fills them.
+  spare_ = std::make_unique<core::Workspace>(0);
+  spare_->alloc(static_cast<int64_t>(vc.channels()) * g * g * g);
+  spare_->reset();
 }
 
 PocketCache::Stats PocketCache::stats() const {

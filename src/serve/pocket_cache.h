@@ -21,8 +21,10 @@
 //
 // Entries are returned as shared_ptr<const Entry>: eviction drops the
 // cache's reference, never a reader's, so replicas may keep using an entry
-// that was just evicted. Entry tensors heap-own their storage
-// (Workspace::Unbind during the build) — they must survive arena resets.
+// that was just evicted. An entry's grid must survive every caller's arena
+// reset, so it is never carved from an ambient arena: it heap-owns its
+// storage (Workspace::Unbind during the build), or, when reserve_grid() set
+// storage aside, borrows from that arena, which the entry then owns.
 // All queries on a built entry are const and thread-safe; the cache itself
 // is mutex-guarded and shared across service workers.
 #pragma once
@@ -39,6 +41,7 @@
 #include "chem/molecule.h"
 #include "chem/voxelizer.h"
 #include "core/tensor.h"
+#include "core/workspace.h"
 
 namespace df::serve {
 
@@ -51,8 +54,10 @@ class PocketCache {
     chem::VoxelConfig voxel_cfg;
     float crop_cell_size = 0.0f;
 
-    // The cached work products.
-    core::Tensor grid;          // protein-only voxel grid (heap-owned)
+    // The cached work products. `storage` backs `grid` when the build used
+    // the reserved grid arena; otherwise it is null and `grid` heap-owns.
+    std::unique_ptr<core::Workspace> storage;
+    core::Tensor grid;          // protein-only voxel grid
     chem::CellList crop_cells;  // over atoms' positions; unbuilt when pocket empty
   };
 
@@ -74,6 +79,13 @@ class PocketCache {
                                       const chem::Voxelizer& voxelizer,
                                       const chem::GraphFeaturizer& featurizer);
 
+  /// Set aside (untouched) storage for one grid under `vc`, which the next
+  /// miss builds its grid in instead of the heap. A replica restored from a
+  /// compiled artifact calls this with its arenas, so its very first batch
+  /// touches the heap for no tensor data (RegressorScorer::
+  /// reserve_workspaces). No-op while storage is already set aside.
+  void reserve_grid(const chem::VoxelConfig& vc);
+
   Stats stats() const;
   size_t size() const;
   size_t capacity() const { return max_targets_; }
@@ -85,6 +97,7 @@ class PocketCache {
   mutable std::mutex mu_;
   LruList lru_;  // front = most recent
   std::unordered_map<uint64_t, LruList::iterator> by_key_;
+  std::unique_ptr<core::Workspace> spare_;  // reserve_grid(); taken by the next miss
   Stats stats_;
 };
 

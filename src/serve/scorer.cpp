@@ -205,6 +205,7 @@ RegressorScorer::WorkspaceBudgets RegressorScorer::workspace_capacities() const 
 void RegressorScorer::reserve_workspaces(const WorkspaceBudgets& budgets) {
   forward_ws_.reserve(budgets.forward_floats);
   featurized_.ws.reserve(budgets.feat_floats);
+  pocket_cache_->reserve_grid(voxelizer_.config());
 }
 
 void RegressorScorer::featurize(const std::vector<const PoseInput*>& poses, Featurized& out) {

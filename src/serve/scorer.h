@@ -163,9 +163,10 @@ class RegressorScorer : public Scorer {
     size_t feat_floats = 0;
   };
   WorkspaceBudgets workspace_capacities() const;
-  /// Pre-grow the arenas to the given budgets so the replica's first score()
-  /// call (and every one after) performs zero tensor heap allocations —
-  /// the compiled-artifact cold-start path.
+  /// Pre-grow the arenas to the given budgets, and set aside storage for
+  /// the pocket cache's next grid, so the replica's first score() call (and
+  /// every one after, while its receptor stays cached) performs zero tensor
+  /// heap allocations — the compiled-artifact cold-start path.
   void reserve_workspaces(const WorkspaceBudgets& budgets);
 
  private:

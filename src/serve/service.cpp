@@ -61,11 +61,20 @@ struct ScoringService::InFlight {
   size_t total = 0;
   std::string scorer;
   Scorer* replica = nullptr;            // null when building it failed
-  std::string error;                    // why building the replica failed
+  std::string error;                    // why building it failed; never empty then
   std::vector<const PoseInput*> poses;  // score() input when there is no pipeline
 };
 
 namespace {
+
+// The service keys failure on a non-empty message, so an exception whose
+// what() is empty still needs one.
+std::string failure_message(const std::exception& e, const std::string& scorer) {
+  const char* what = e.what();
+  return what != nullptr && *what != '\0'
+             ? std::string(what)
+             : "exception with an empty message from scorer '" + scorer + "'";
+}
 
 std::future<ScoreResponse> ready_response(ScoreResponse r) {
   std::promise<ScoreResponse> p;
@@ -284,7 +293,7 @@ void ScoringService::worker_loop() {
     lock.unlock();
     std::vector<float> out;
     std::string err = std::move(fl.error);
-    if (err.empty()) {
+    if (fl.replica != nullptr) {
       try {
         ScorerPipeline* pipe = fl.replica->pipeline();
         out = pipe != nullptr ? pipe->collect() : fl.replica->score(fl.poses);
@@ -293,7 +302,7 @@ void ScoringService::worker_loop() {
                 " scores for " + std::to_string(fl.total) + " poses";
         }
       } catch (const std::exception& e) {
-        err = e.what();
+        err = failure_message(e, fl.scorer);
       } catch (...) {
         err = "unknown exception from scorer '" + fl.scorer + "'";
       }
@@ -343,7 +352,7 @@ void ScoringService::worker_loop() {
       try {
         replica_for(replicas, name);
       } catch (const std::exception& e) {
-        err = e.what();
+        err = failure_message(e, name);
       } catch (...) {
         err = "unknown exception from factory for scorer '" + name + "'";
       }
@@ -501,7 +510,7 @@ void ScoringService::worker_loop() {
     try {
       fl.replica = &replica_for(replicas, name);
     } catch (const std::exception& e) {
-      fl.error = e.what();
+      fl.error = failure_message(e, name);
     } catch (...) {
       fl.error = "unknown exception from scorer '" + name + "'";
     }

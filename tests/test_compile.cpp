@@ -490,10 +490,6 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     auto h5_model = factory();
     models::load_checkpoint(*h5_model, h5);
     serve::RegressorScorer h5_scorer(name, std::move(h5_model), tiny_voxel(), {});
-    // The pocket grid is per-target state, not per-replica: both replicas
-    // share one cache, so the restored replica's first batch hits it.
-    auto pocket_cache = std::make_shared<serve::PocketCache>(1);
-    h5_scorer.set_pocket_cache(pocket_cache);
     std::vector<float> want;
     for (int i = 0; i < 3; ++i) want = h5_scorer.score(ptrs);  // warm the arenas
     const auto budgets = h5_scorer.workspace_capacities();
@@ -510,7 +506,6 @@ TEST(CompiledArtifact, AllFamiliesScoreBitwiseEqualToH5PathWithZeroColdStartAllo
     serve::ModelRegistry reg;
     serve::add_compiled(reg, name, artifact, tiny_voxel());
     std::unique_ptr<serve::Scorer> replica = reg.make(name);
-    replica->set_pocket_cache(pocket_cache);
 
     // Cold start is allocation-free: the artifact carried the high-water
     // budgets, so the very FIRST batch neither grows an arena nor touches

@@ -276,6 +276,42 @@ TEST(PocketCacheTest, LruEvictionAndConfigInvalidation) {
   EXPECT_EQ(fresh.stats().hits, 0u);
 }
 
+TEST(PocketCacheTest, ReservedGridStorageBuildsTheFirstMissHeapFree) {
+  Rng ra(78), rb(79);
+  const auto pa = data::make_pocket({4.5f, 20, 0.6f, 0.5f, 0.1f}, ra);
+  const auto pb = data::make_pocket({4.5f, 20, 0.6f, 0.5f, 0.1f}, rb);
+  const chem::Voxelizer vox(tiny_voxel());
+  const chem::GraphFeaturizer feat(tiny_graph());
+
+  serve::PocketCache cache(1);
+  cache.reserve_grid(vox.config());
+  const uint64_t reserved = core::alloc_count();
+  cache.reserve_grid(vox.config());  // storage already set aside: no-op
+  EXPECT_EQ(core::alloc_count(), reserved);
+
+  // The first miss fills the reserved storage, bitwise equal to the heap
+  // build, and the entry keeps it alive.
+  const auto ea = cache.lookup(pa, {}, vox, feat);
+  EXPECT_EQ(core::alloc_count(), reserved) << "first miss touched the heap for the grid";
+  ASSERT_NE(ea->storage, nullptr);
+  EXPECT_TRUE(ea->grid.borrowed());
+  const Tensor want_a = vox.voxelize_pocket(pa, {});
+  ASSERT_EQ(ea->grid.shape(), want_a.shape());
+  EXPECT_EQ(std::memcmp(ea->grid.data(), want_a.data(),
+                        static_cast<size_t>(want_a.numel()) * sizeof(float)),
+            0);
+
+  // The storage is spent: the next miss heap-owns its grid, and the
+  // evicted entry stays valid for its holder.
+  const auto eb = cache.lookup(pb, {}, vox, feat);
+  EXPECT_EQ(eb->storage, nullptr);
+  EXPECT_FALSE(eb->grid.borrowed());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(std::memcmp(ea->grid.data(), want_a.data(),
+                        static_cast<size_t>(want_a.numel()) * sizeof(float)),
+            0);
+}
+
 TEST(PocketCacheTest, ConcurrentLookupsBuildOnceAndAgree) {
   Rng rng(77);
   const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
@@ -590,6 +626,15 @@ class ThrowingScorer : public serve::Scorer {
   }
 };
 
+// Throws an exception whose what() is empty.
+class SilentThrowScorer : public serve::Scorer {
+ public:
+  std::string name() const override { return "silent"; }
+  std::vector<float> score(const std::vector<const serve::PoseInput*>& /*poses*/) override {
+    throw std::runtime_error("");
+  }
+};
+
 struct MixedRequest {
   std::string scorer;
   std::vector<serve::PoseInput> poses;
@@ -699,6 +744,43 @@ TEST(PipelinedService, MixedBackendsResolveAsAtDepthZero) {
     // Every resolved request, the gate's and the failed ones included.
     EXPECT_EQ(got.stats.latency.count(), plan.size() + 1) << mode;
     EXPECT_EQ(want.stats.latency.count(), plan.size() + 1) << mode;
+  }
+}
+
+TEST(PipelinedService, EmptyMessageFailuresResolveAsScorerFailure) {
+  // A scorer or a replica factory may throw with an empty what(); the
+  // batch must still fail typed, never pass as an empty success.
+  Rng rng(88);
+  const auto pocket = data::make_pocket({4.5f, 24, 0.6f, 0.5f, 0.1f}, rng);
+  serve::ModelRegistry reg;
+  reg.add("silent", [] { return std::make_unique<SilentThrowScorer>(); });
+  reg.add("unbuildable", []() -> std::unique_ptr<serve::Scorer> {
+    throw std::runtime_error("");
+  });
+  reg.add("vina_pk", [] { return std::make_unique<serve::VinaPkScorer>(); });
+  for (int depth : {0, 2}) {
+    serve::ServiceConfig sc;
+    sc.workers = 1;
+    sc.poses_per_batch = 4;
+    sc.pipeline_depth = depth;
+    serve::ScoringService service(reg, sc);
+    for (const char* name : {"silent", "unbuildable"}) {
+      const std::string tag = std::string(name) + " depth=" + std::to_string(depth);
+      serve::ScoreRequest req;
+      req.scorer = name;
+      req.poses = make_poses(3, &pocket, rng);
+      const serve::ScoreResponse resp = service.score(std::move(req));
+      EXPECT_EQ(resp.error, serve::ScoreError::kScorerFailure) << tag;
+      EXPECT_TRUE(resp.scores.empty()) << tag;
+      EXPECT_NE(resp.message.find(name), std::string::npos) << tag << ": " << resp.message;
+    }
+    // The worker survives both and keeps serving.
+    serve::ScoreRequest req;
+    req.scorer = "vina_pk";
+    req.poses = make_poses(3, &pocket, rng);
+    const serve::ScoreResponse resp = service.score(std::move(req));
+    EXPECT_EQ(resp.error, serve::ScoreError::kNone) << "depth=" << depth;
+    EXPECT_EQ(resp.scores.size(), 3u);
   }
 }
 
